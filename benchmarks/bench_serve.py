@@ -132,7 +132,7 @@ def check_and_report(direct, plain, rows):
              f"batch<={BATCH_SIZE}, deadline=2ms, host_cpus={os.cpu_count()}",
              f"direct session.run loop: {direct:9.1f} req/s",
              f"serve vanilla-only (1 worker): {plain['throughput']:9.1f} "
-             f"req/s ({direct / plain['throughput']:.2f}x of direct, "
+             f"req/s ({plain['throughput'] / direct:.2f}x of direct, "
              f"p50 {_fmt_ms(plain['lat_vanilla']['p50_ms'])}ms "
              f"p99 {_fmt_ms(plain['lat_vanilla']['p99_ms'])}ms)",
              "",

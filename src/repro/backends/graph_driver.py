@@ -9,9 +9,14 @@ Mirrors the paper's TensorFlow driver:
 * **graph switching** — the vanilla graph instance the user holds is never
   mutated; ``Session.run`` is intercepted and redirected to the instrumented
   instance, with variable state shared through the common variable store;
-* **graph-level caching** — the instrumented graph is cached keyed by the
-  vanilla graph's fingerprint and the tool epoch; the expensive
-  rewrite/switch only reruns when the graph or the toolset changes (Fig. 12).
+* **graph-level caching** — the instrumented graph is cached keyed by what
+  the rewrite depends on: the vanilla graph's fingerprint, the resolved
+  toolset and the quarantined set; the expensive rewrite/switch only reruns
+  when one of those changes (Fig. 12).  A toolset swapped out and back in
+  (``manager.replace_tools``, the serving lease) finds its graph again.
+  The cache lives as long as the driver stays attached: leaving the
+  outermost apply scope detaches it, so a tool applied again re-analyses
+  against the current variable values.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +45,18 @@ from .interface import BackendDriver, SymbolicInput
 __all__ = ["GraphDriver"]
 
 
+class _Instrumented(NamedTuple):
+    """One rewrite of a vanilla graph under one toolset."""
+
+    graph: Graph
+    #: tensor name -> inserted wrapper output the fetch is redirected to
+    redirects: dict
+    #: compiled per-op execution plans
+    plans: list
+    #: bytes charged to the ``amanda`` allocation scope while it lives
+    charge: int
+
+
 class GraphDriver(BackendDriver):
     namespace = "graph"
     mode = "graph"
@@ -46,20 +64,18 @@ class GraphDriver(BackendDriver):
     def __init__(self, manager, verify: bool | None = None) -> None:
         super().__init__(manager)
         self._interceptor = Interceptor()
-        #: (graph id, graph version, tool epoch) -> (instrumented graph,
-        #: tensor-name redirects pointing fetches at inserted wrapper
-        #: outputs, compiled per-op execution plans).  LRU-ordered and
-        #: bounded by ``config.plan_cache_size``: the serving runtime bumps
-        #: the tool epoch on every tenant lease swap, and epoch-keyed
-        #: entries would otherwise accumulate one instrumented graph clone
-        #: per swap for the life of the apply scope.
-        self._graph_cache: OrderedDict[tuple, tuple[Graph, dict, list]] = \
-            OrderedDict()
-        #: guards the cache dict itself (lookup/insert/evict); the rewrite
-        #: that *fills* it stays outside the lock — instrumented runs are
+        #: (graph id, graph version, digest, tools, quarantined) -> its
+        #: rewrite.  LRU-ordered and bounded by ``config.plan_cache_size``
+        #: (distinct graphs and toolsets within one attachment).
+        self._graph_cache: OrderedDict[tuple, _Instrumented] = OrderedDict()
+        #: guards the cache dict and the charge total; the rewrite that
+        #: *fills* the cache stays outside the lock — instrumented runs are
         #: serialized by the serving lease, and a rare duplicate rewrite of
         #: the same key is benign (last writer wins)
         self._cache_lock = threading.RLock()
+        #: bytes rewrites charged to the ``amanda`` scope and not yet
+        #: released; detach releases what is left
+        self._charged = 0
         self.rewrite_count = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -95,7 +111,10 @@ class GraphDriver(BackendDriver):
 
     def detach(self) -> None:
         self._interceptor.restore_all()
-        self._graph_cache.clear()
+        with self._cache_lock:
+            self._graph_cache.clear()
+            alloc.tracker.release(self._charged, "amanda")
+            self._charged = 0
         self.rewrite_count = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -119,12 +138,12 @@ class GraphDriver(BackendDriver):
             # run their own graph, even while another tenant's tools hold
             # the instrumentation lease
             return run_impl(session.graph, fetches, feed)
-        key = session.graph.fingerprint() + (mgr.tool_epoch,)
-        entry = self._cache_get(key) if mgr.cache_enabled else None
+        caching = mgr.cache_enabled
+        entry = self._cache_get(self._key(session.graph)) if caching else None
         if entry is None:
             self.cache_misses += 1
             try:
-                instrumented, redirects = self._instrument_graph(
+                entry = self._instrument_graph(
                     session.graph, feed_shapes={
                         name: np.asarray(value).shape
                         for name, value in feed.items()})
@@ -139,27 +158,24 @@ class GraphDriver(BackendDriver):
                         phase="rewrite"))
                 self.vanilla_fallbacks += 1
                 return run_impl(session.graph, fetches, feed)
-            entry = (instrumented, redirects, self.last_plans)
-            if mgr.cache_enabled:
-                # analysis may have moved the epoch (mid-rewrite quarantine):
-                # store under the key the *next* lookup will compute, never
-                # orphaning the entry under a stale epoch
-                key = session.graph.fingerprint() + (mgr.tool_epoch,)
-                self._cache_put(key, entry)
+            if caching:
+                # analysis may have quarantined a tool mid-rewrite: store
+                # under the key the *next* lookup will compute, never
+                # orphaning the entry under the stale quarantine set
+                self._cache_put(self._key(session.graph), entry)
         else:
             self.cache_hits += 1
-            for plan in entry[2]:
+            for plan in entry.plans:
                 plan.hits += 1
                 plan.replays += 1
-        instrumented, redirects, _ = entry
         mapped = []
         for tensor in fetches:
-            target = redirects.get(tensor.name)
+            target = entry.redirects.get(tensor.name)
             if target is None:
-                target = instrumented.get_tensor(tensor.name)
+                target = entry.graph.get_tensor(tensor.name)
             mapped.append(target)
         try:
-            return run_impl(instrumented, mapped, feed)
+            return run_impl(entry.graph, mapped, feed)
         except InstrumentationError:
             # a callback op failed inside the instrumented graph: switch
             # back to the vanilla graph the user submitted, unless the
@@ -169,24 +185,41 @@ class GraphDriver(BackendDriver):
             self.vanilla_fallbacks += 1
             return run_impl(session.graph, fetches, feed)
         finally:
+            if not caching:
+                self._release(entry)  # an uncached rewrite dies with its run
             # post-run snapshot: the plan cache and arena the run produced
             self._capture_executor_stats(session)
 
     # -- instrumented-graph cache (LRU, bounded) --------------------------------
-    def _cache_get(self, key: tuple):
+    def _key(self, graph: Graph) -> tuple:
+        """What a rewrite of ``graph`` depends on: the graph itself, the
+        resolved toolset and the tools quarantined out of it."""
+        mgr = self.manager
+        return graph.fingerprint() + (tuple(mgr.tools),
+                                      frozenset(mgr.quarantined))
+
+    def _cache_get(self, key: tuple) -> _Instrumented | None:
         with self._cache_lock:
             entry = self._graph_cache.get(key)
             if entry is not None:
                 self._graph_cache.move_to_end(key)
             return entry
 
-    def _cache_put(self, key: tuple, entry: tuple) -> None:
+    def _cache_put(self, key: tuple, entry: _Instrumented) -> None:
         with self._cache_lock:
+            replaced = self._graph_cache.pop(key, None)
+            if replaced is not None:
+                self._release(replaced)
             self._graph_cache[key] = entry
-            self._graph_cache.move_to_end(key)
             bound = max(1, config.plan_cache_size)
             while len(self._graph_cache) > bound:
-                self._graph_cache.popitem(last=False)
+                self._release(self._graph_cache.popitem(last=False)[1])
+
+    def _release(self, entry: _Instrumented) -> None:
+        """Return a dropped rewrite's charge to the ``amanda`` scope."""
+        with self._cache_lock:
+            self._charged -= entry.charge
+            alloc.tracker.release(entry.charge, "amanda")
 
     def _capture_executor_stats(self, session: Session) -> None:
         arena = getattr(session, "_arena", None)
@@ -197,7 +230,7 @@ class GraphDriver(BackendDriver):
 
     # -- rewriting ---------------------------------------------------------------
     def _instrument_graph(self, graph: Graph,
-                          feed_shapes: dict | None = None) -> tuple[Graph, dict]:
+                          feed_shapes: dict | None = None) -> _Instrumented:
         self.rewrite_count += 1
         mgr = self.manager
         span = mgr.begin_span()
@@ -207,7 +240,7 @@ class GraphDriver(BackendDriver):
             mgr.end_span(span)
 
     def _instrument_graph_inner(self, graph: Graph,
-                                feed_shapes: dict | None) -> tuple[Graph, dict]:
+                                feed_shapes: dict | None) -> _Instrumented:
         mgr = self.manager
         # snapshot the active tools' effect declarations: every PyCall a
         # tool's actions realize below is tagged with them, so the race
@@ -217,9 +250,12 @@ class GraphDriver(BackendDriver):
             if getattr(tool, "effects", None) is not None}
         clone, _ = copy_graph(graph)
         # account the instrumented graph instance + per-op contexts as
-        # framework bookkeeping memory (Fig. 13)
-        alloc.tracker.allocate(512 * max(1, len(clone.operations)),
-                               scope="amanda")
+        # framework bookkeeping memory (Fig. 13), held until the rewrite
+        # leaves the cache (or its run ends, uncached)
+        charge = 512 * max(1, len(clone.operations))
+        alloc.tracker.allocate(charge, scope="amanda")
+        with self._cache_lock:
+            self._charged += charge
         rewriter = GraphRewriter(clone, verify=self._should_verify)
         redirects: dict = {}
         # stable ids: deterministic assignment over the op stream
@@ -298,7 +334,7 @@ class GraphDriver(BackendDriver):
                 clone, feed_shapes=feed_shapes, redirects=redirects,
                 source_graph=graph, raise_on_error=True)
 
-        return clone, redirects
+        return _Instrumented(clone, redirects, plans, charge)
 
     # -- contexts -------------------------------------------------------------------
     def _symbolic_inputs(self, graph: Graph, op: Operation) -> list[SymbolicInput]:
@@ -487,8 +523,8 @@ class GraphDriver(BackendDriver):
         """Per-graph plan counters (merged into ``manager.plan_stats()``)."""
         by_kind = {kind.value: 0 for kind in PlanKind}
         ops: dict = {}
-        for _, _, plans in self._graph_cache.values():
-            for plan in plans:
+        for entry in self._graph_cache.values():
+            for plan in entry.plans:
                 by_kind[plan.kind.value] += 1
                 if plan.op_id is not None:
                     ops[plan.op_id] = plan.stats()

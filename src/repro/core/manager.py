@@ -103,8 +103,8 @@ class InstrumentationManager:
         self.backward_ids = OpIdAssigner(seed=0xB5EED)
         #: eager-mode action cache: op_id -> CachedOpRecord
         self.action_cache: dict[int, CachedOpRecord] = {}
-        #: bumped whenever the active toolset changes; drivers key their own
-        #: caches (e.g. instrumented graphs) by this epoch
+        #: bumped whenever the active toolset or the quarantine set changes;
+        #: compiled per-op plans (``plan_for``) are stale once it moves
         self.tool_epoch = 0
         self._drivers: list = []
         self._depth = 0
@@ -196,6 +196,30 @@ class InstrumentationManager:
             # failure; the error log survives for post-mortem (reset_health)
             self.quarantined.clear()
         self._invalidate()
+
+    def replace_tools(self, tools: tuple[Tool, ...]) -> None:
+        """Swap the open scope's toolset for ``tools`` in place.
+
+        Unlike ``deactivate()`` followed by ``activate()``, the drivers stay
+        attached and keep their caches; the graph driver keys its
+        instrumented graphs by toolset, so a toolset that comes back finds
+        its graphs again.  Tools leaving get ``on_remove``, tools entering
+        ``on_apply``; the quarantine set, the action cache and the op ids
+        reset as for a fresh scope.
+        """
+        if self._depth == 0:
+            raise RuntimeError("replace_tools() needs an open apply scope")
+        previous = self.tools
+        self.tools = self.resolve_tools(tools)
+        with self._health_lock:
+            self.quarantined.clear()
+        self._invalidate()
+        for tool in previous:
+            if tool not in self.tools:
+                tool.on_remove()
+        for tool in self.tools:
+            if tool not in previous:
+                tool.on_apply()
 
     def _invalidate(self) -> None:
         self.tool_epoch += 1
@@ -360,10 +384,11 @@ class InstrumentationManager:
         """Disable ``tool_name``'s routines and recorded actions.
 
         Reuses the epoch invalidation mechanism: bumping ``tool_epoch``
-        (without clearing caches or ids) forces every compiled plan — and
-        every graph-mode instrumented graph — to recompile, and plan
-        compilation excludes quarantined tools' actions, so subsequent
-        execution is vanilla with respect to the tool.
+        (without clearing caches or ids) forces every compiled plan to
+        recompile, graph-mode instrumented graphs are keyed by the
+        quarantine set, and plan compilation excludes quarantined tools'
+        actions, so subsequent execution is vanilla with respect to the
+        tool.
         """
         with self._health_lock:
             if tool_name in self.quarantined:

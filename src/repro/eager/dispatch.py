@@ -19,6 +19,7 @@ record — the raw material the driver turns into an ``OpContext``.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -39,11 +40,21 @@ __all__ = [
 # grad mode
 # ---------------------------------------------------------------------------
 
-_grad_enabled = True
+class _GradState(threading.local):
+    """Per-thread grad mode.  Instrumentation routines run under
+    ``no_grad`` on whichever thread executes them (session workers,
+    serving lanes); a process-global flag saved and restored by
+    interleaved threads could be left off for everyone."""
+
+    def __init__(self) -> None:
+        self.enabled = True  # runs once in every thread that reads it
+
+
+_grad_state = _GradState()
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_state.enabled
 
 
 class _GradMode:
@@ -52,14 +63,12 @@ class _GradMode:
         self._previous = True
 
     def __enter__(self):
-        global _grad_enabled
-        self._previous = _grad_enabled
-        _grad_enabled = self._enabled
+        self._previous = _grad_state.enabled
+        _grad_state.enabled = self._enabled
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._previous
+        _grad_state.enabled = self._previous
         return False
 
 
@@ -297,7 +306,7 @@ def vanilla_apply(opdef: OpDef, inputs: tuple, attrs: dict,
 
     grad_sources = autograd_inputs if autograd_inputs is not None else inputs
     needs_grad = (
-        _grad_enabled
+        _grad_state.enabled
         and opdef.differentiable
         and any(isinstance(t, Tensor) and t.requires_grad for t in grad_sources)
     )

@@ -12,8 +12,10 @@ across tenants.  Each shard holds
   naturally bounded by the worker count.
 * one **instrumented** session (``instrumentation_exempt = False``), used
   only under the instrumentation lease — the lease serializes sampled
-  execution, so one session per shard suffices and its plan cache
-  accumulates the instrumented graphs' plans across tool epochs (bounded by
+  execution, so one session per shard suffices.  Its plan cache holds one
+  plan per toolset served on the shard's graph: across lease swaps the
+  graph driver hands back the same instrumented graph for a returning
+  toolset, so its compiled plan is hit, not rebuilt (bounded by
   ``AMANDA_PLAN_CACHE_SIZE``).
 """
 

@@ -17,18 +17,22 @@ are active.
 **The instrumentation lease.**  Sampled batches run under a process-wide
 lease (an RLock) that serializes instrumented execution.  The lease is
 *sticky*: after a batch it stays open on the current tenant's tools, so
-back-to-back sampled batches from one tenant skip the
-``activate``/``deactivate`` epoch churn and keep their compiled plans warm.
-It swaps tenants only when a different tenant's sampled batch arrives, and
-closes when the service goes idle (so an idle serving process leaves
-``manager.active`` false and does not intercept unrelated code).
+back-to-back sampled batches from one tenant reuse the open activation.
+When a different tenant's sampled batch arrives the lease *swaps* tenants
+in place (:meth:`manager.replace_tools`): the drivers stay attached, and
+the graph driver keys its instrumented graphs by toolset, so a returning
+tenant finds its instrumented graph, and the pool's instrumented session
+its compiled plan, from the tenant's last turn.  The lease closes
+(``deactivate``, dropping those caches) when the service goes idle, so an
+idle serving process leaves ``manager.active`` false and does not intercept
+unrelated code.
 
 **Per-tenant fault isolation.**  Each tenant carries its own error policy
-and quarantine set.  On every lease swap the closing tenant's quarantine is
-captured from the manager (``deactivate`` clears it) and the opening
-tenant's is re-applied via :meth:`manager.quarantine`, so one tenant's
-faulty tool stays quarantined for *that* tenant across swaps without ever
-disabling another tenant's tools.
+and quarantine set.  On every lease swap the leaving tenant's quarantine is
+captured from the manager (the swap and ``deactivate`` clear it) and the
+arriving tenant's is re-applied via :meth:`manager.quarantine`, so one
+tenant's faulty tool stays quarantined for *that* tenant across swaps
+without ever disabling another tenant's tools.
 """
 
 from __future__ import annotations
@@ -109,17 +113,22 @@ class _InstrumentationLease:
     def acquire(self, tenant: Tenant) -> None:
         """Enter instrumented execution for ``tenant`` (blocks other lanes).
 
-        Reuses the open activation when ``tenant`` already holds the lease;
-        otherwise closes the previous tenant's activation and opens a fresh
-        one with this tenant's tools, error policy and quarantine set.
+        Reuses the open activation when ``tenant`` already holds the lease.
+        Otherwise a closed lease opens with ``activate`` and an open one
+        swaps the previous tenant's tools for this tenant's in place; either
+        way this tenant's error policy and quarantine set are applied.
         """
         self._lock.acquire()
         if self._current is tenant:
             return
-        self._close_locked()
-        self._saved_policy = manager.error_policy
+        if self._current is None:
+            self._saved_policy = manager.error_policy
+            manager.activate(tenant.tools)
+        else:
+            # the swap clears the quarantine set: keep the leaving tenant's
+            self._current.quarantined = set(manager.quarantined)
+            manager.replace_tools(tenant.tools)
         manager.set_error_policy(tenant.error_policy)
-        manager.activate(tenant.tools)
         for name in sorted(tenant.quarantined):
             manager.quarantine(name)
         self._current = tenant

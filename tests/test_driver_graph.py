@@ -6,7 +6,9 @@ import pytest
 import repro.amanda as amanda
 import repro.graph as G
 from repro.amanda import Tool, manager
+from repro.eager import alloc
 from repro.graph import builder as gb
+from repro.tools.pruning import MagnitudePruningTool, magnitude_mask
 
 
 @pytest.fixture
@@ -181,6 +183,23 @@ class TestGraphLevelCache:
                 sess.run(logits, {x: np.abs(rng.standard_normal((2, 4)))})
         assert tool.calls == 5
 
+    def test_replaced_toolset_finds_its_graph_again(self, rng, small_graph):
+        g, x, w, logits, loss, grad_w = small_graph
+        first, second = self._counting_tool(), self._counting_tool()
+        sess = G.Session(g)
+        xv = np.abs(rng.standard_normal((2, 4)))
+        with amanda.apply(first) as mgr:
+            driver = next(d for d in mgr._drivers if d.namespace == "graph")
+            sess.run(logits, {x: xv})
+            for _ in range(3):
+                mgr.replace_tools((second,))
+                sess.run(logits, {x: xv})
+                mgr.replace_tools((first,))
+                sess.run(logits, {x: xv})
+            assert driver.rewrite_count == 2
+            assert driver.cache_misses == 2 and driver.cache_hits == 5
+        assert first.calls == 1 and second.calls == 1
+
     def test_variable_state_shared_with_instrumented_graph(self, rng):
         with G.default_graph() as g:
             v = gb.variable(np.array([1.0]), name="v")
@@ -244,3 +263,79 @@ class TestDetachResetsState:
             second = sess.run(logits, {x: xv})
             assert driver.cache_misses == 1 and driver.cache_hits == 0
         np.testing.assert_allclose(second, vanilla * 3.0)
+
+
+class TestApplyScopeReanalyses:
+    """The instrumented-graph cache lives for one attachment: a tool applied
+    again in a later scope analyses the graph against current values."""
+
+    def test_second_scope_masks_with_the_new_weights(self, rng):
+        old = rng.standard_normal((4, 3))
+        new = rng.standard_normal((4, 3))
+        assert not np.array_equal(magnitude_mask(old, 0.5),
+                                  magnitude_mask(new, 0.5))
+        with G.default_graph() as g:
+            x = gb.placeholder(name="x")
+            out = gb.matmul(x, gb.variable(old, name="w"))
+        sess = G.Session(g)
+        xv = rng.standard_normal((2, 4))
+        tool = MagnitudePruningTool(sparsity=0.5)
+
+        with amanda.apply(tool):
+            first = sess.run(out, {x: xv})
+        g.variables.write("w", new)
+        with amanda.apply(tool):
+            second = sess.run(out, {x: xv})
+
+        (mask,) = tool.masks.values()
+        np.testing.assert_array_equal(mask, magnitude_mask(new, 0.5))
+        np.testing.assert_allclose(first, xv @ (old * magnitude_mask(old, 0.5)))
+        np.testing.assert_allclose(second,
+                                   xv @ (new * magnitude_mask(new, 0.5)))
+
+
+class TestRewriteCharge:
+    """A rewrite charges its graph to the ``amanda`` allocation scope for
+    as long as the graph is kept, and no longer."""
+
+    @staticmethod
+    def _doubler():
+        tool = Tool("doubler")
+        tool.add_inst_for_op(
+            lambda context: context.insert_after_op(lambda a: a * 2.0)
+            if context["type"] == "Relu" else None)
+        return tool
+
+    def test_scope_exit_releases_the_cached_graph(self, rng, small_graph):
+        g, x, w, logits, loss, grad_w = small_graph
+        sess = G.Session(g)
+        live, total = alloc.tracker.live["amanda"], \
+            alloc.tracker.total_allocated["amanda"]
+        charge = 512 * len(g.operations)
+        with amanda.apply(self._doubler()):
+            for _ in range(3):
+                sess.run(logits, {x: np.abs(rng.standard_normal((2, 4)))})
+            assert alloc.tracker.live["amanda"] == live + charge
+        assert alloc.tracker.live["amanda"] == live
+        assert alloc.tracker.total_allocated["amanda"] == total + charge
+
+    def test_eviction_and_uncached_runs_release(self, rng):
+        graphs = []
+        for _ in range(2):
+            with G.default_graph() as g:
+                x = gb.placeholder(name="x")
+                w = gb.variable(np.ones((4, 3)), name="w")
+                graphs.append((g, x, gb.relu(gb.matmul(x, w))))
+        xv = np.abs(rng.standard_normal((2, 4)))
+        live = alloc.tracker.live["amanda"]
+        charge = 512 * len(graphs[0][0].operations)
+        with amanda.apply(self._doubler()), amanda.plan_cache_size(1):
+            for g, x, out in graphs:
+                G.Session(g).run(out, {x: xv})
+            # the second graph evicted the first
+            assert alloc.tracker.live["amanda"] == live + charge
+            with amanda.cache_disabled():
+                g, x, out = graphs[0]
+                G.Session(g).run(out, {x: xv})
+                assert alloc.tracker.live["amanda"] == live + charge
+        assert alloc.tracker.live["amanda"] == live

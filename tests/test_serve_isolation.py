@@ -13,6 +13,11 @@ The matrix asserts that at every worker count the concurrent multi-tenant
 outputs are **bit-identical** to serial single-tenant references: the prune
 tenant's instrumented results never leak into the faulty tenant's vanilla
 recovery (and vice versa), across lease swaps and quarantine capture.
+
+The swap tests then pin what a lease swap keeps: with one worker whose
+queue is full before it starts, the lease swaps tenants on every request
+and never idles closed, and each tenant's instrumented graph is rewritten,
+and its plan compiled, once for the whole run.
 """
 
 from __future__ import annotations
@@ -23,11 +28,18 @@ import pytest
 import repro.amanda as amanda
 from repro.amanda import manager
 from repro import serve
+from repro.backends.graph_driver import GraphDriver
+from repro.graph import session as session_module
+from repro.kernels.runtime import runtime as kernel_runtime
 from repro.models.graph.builders import build_mlp
 from repro.tools.faulty import FaultyTool
-from repro.tools.pruning import ActivationPruningTool
+from repro.tools.profiling import KernelProfilingTool
+from repro.tools.pruning import ActivationPruningTool, MagnitudePruningTool
 
 REQUESTS = 10
+#: requests per tenant in the swap tests: two tenants alternating swap the
+#: lease on every request, so 2 * ROUNDS swaps
+ROUNDS = 12
 
 
 def _feeds(model, rng, n=REQUESTS):
@@ -138,3 +150,130 @@ def test_sampled_lane_routing_with_rate_3(workload):
     snap = rt.snapshot()["tenants"]["prune"]
     assert snap["sampled"] == 4   # k = 0, 3, 6, 9
     assert snap["vanilla"] == 6
+
+
+# ---------------------------------------------------------------------------
+# lease swaps keep each tenant's instrumented graph and plan
+# ---------------------------------------------------------------------------
+
+def _serve_alternating(monkeypatch, tenants):
+    """Serve ``ROUNDS`` requests per tenant, alternating tenants, all on the
+    sampled lane of one worker whose queue is filled before it starts.
+
+    ``tenants`` maps name -> (model, feeds, tools).  Returns
+    each tenant's outputs, the runtime, the tenants, the vanilla graph of
+    every rewrite the graph driver made and the number of session plans
+    compiled while serving.
+    """
+    rewritten, compiled = [], []
+    rewrite = GraphDriver._instrument_graph
+
+    def counting_rewrite(driver, graph, *args, **kwargs):
+        rewritten.append(graph)
+        return rewrite(driver, graph, *args, **kwargs)
+
+    class CountingPlan(session_module.CompiledPlan):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            compiled.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(GraphDriver, "_instrument_graph", counting_rewrite)
+    monkeypatch.setattr(session_module, "CompiledPlan", CountingPlan)
+
+    rt = serve.ServeRuntime("alternating", workers=1, batch_size=1)
+    registered = {
+        name: rt.register(name, model.graph, model.logits, tools=tools,
+                          sample_rate=1)
+        for name, (model, _, tools) in tenants.items()}
+    futures = [(name, rt.submit(registered[name],
+                                tenants[name][1][k % REQUESTS]))
+               for k in range(ROUNDS) for name in tenants]
+    outputs = {name: [] for name in tenants}
+    with rt:
+        for name, future in futures:
+            outputs[name].append(future.result(timeout=60.0))
+    return outputs, rt, registered, rewritten, len(compiled)
+
+
+def _assert_outputs(outputs, refs):
+    for name, outs in outputs.items():
+        for k, out in enumerate(outs):
+            np.testing.assert_array_equal(
+                out, refs[name][k % REQUESTS],
+                err_msg=f"{name} request {k} diverged from its reference")
+
+
+def test_swaps_keep_each_tenants_graph_and_plan(workload, monkeypatch):
+    prune_model, prune_feeds, prune_refs = workload["prune"]
+    other_model, other_feeds, _ = workload["faulty"]
+    session = other_model.session()
+    with amanda.apply(MagnitudePruningTool(sparsity=0.5)):
+        other_refs = [session.run(other_model.logits, f)
+                      for f in other_feeds]
+    session.close()
+
+    outputs, rt, _, rewritten, compiles = _serve_alternating(monkeypatch, {
+        "prune": (prune_model, prune_feeds,
+                  (ActivationPruningTool(keep_ratio=0.25),)),
+        "magnitude": (other_model, other_feeds,
+                      (MagnitudePruningTool(sparsity=0.5),)),
+    })
+
+    _assert_outputs(outputs, {"prune": prune_refs, "magnitude": other_refs})
+    assert rt.snapshot()["lease"]["swaps"] == 2 * ROUNDS
+    assert len(rewritten) == 2, "a returning tenant's graph was rewritten"
+    assert compiles == 2, "a returning tenant's plan was compiled again"
+
+
+def test_quarantine_reapplied_on_every_swap(workload, monkeypatch):
+    prune_model, prune_feeds, prune_refs = workload["prune"]
+    faulty_model, faulty_feeds, faulty_refs = workload["faulty"]
+    faulty_tool = FaultyTool(mode="instrumentation", always=True)
+
+    outputs, _, tenants, rewritten, _ = _serve_alternating(monkeypatch, {
+        "prune": (prune_model, prune_feeds,
+                  (ActivationPruningTool(keep_ratio=0.25),)),
+        "faulty": (faulty_model, faulty_feeds, (faulty_tool,)),
+    })
+
+    _assert_outputs(outputs, {"prune": prune_refs, "faulty": faulty_refs})
+    # the tool failed once; every later swap re-applied its quarantine, so
+    # the faulty tenant ran the graph rewritten without it
+    assert faulty_tool.faults == 1
+    assert tenants["faulty"].quarantined == {faulty_tool.name}
+    assert not tenants["prune"].quarantined
+    assert [g is prune_model.graph for g in rewritten].count(True) == 1, \
+        "a quarantine swap re-rewrote the pruning tenant's graph"
+    assert [g is faulty_model.graph for g in rewritten].count(True) == 2
+    assert not manager.quarantined, "quarantine leaked past runtime stop"
+    manager.reset_health()
+
+
+def test_kernel_profiler_sees_only_its_own_requests(workload, monkeypatch):
+    prune_model, prune_feeds, prune_refs = workload["prune"]
+    model, feeds, refs = workload["faulty"]
+
+    def launches(tool):
+        return {op: {kernel: len(times) for kernel, times in kernels.items()}
+                for op, kernels in tool.kernel_times.items()}
+
+    baseline = kernel_runtime.stats()["subscribers"]
+    serial = KernelProfilingTool()
+    session = model.session()
+    with amanda.apply(serial):
+        for k in range(ROUNDS):
+            session.run(model.logits, feeds[k % REQUESTS])
+    session.close()
+
+    profiler = KernelProfilingTool()
+    outputs, _, _, _, _ = _serve_alternating(monkeypatch, {
+        "profiled": (model, feeds, (profiler,)),
+        "prune": (prune_model, prune_feeds,
+                  (ActivationPruningTool(keep_ratio=0.25),)),
+    })
+
+    _assert_outputs(outputs, {"profiled": refs, "prune": prune_refs})
+    assert launches(profiler) == launches(serial)
+    assert kernel_runtime.stats()["subscribers"] == baseline

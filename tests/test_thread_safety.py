@@ -20,7 +20,7 @@ import pytest
 import repro.amanda as amanda
 from repro.amanda import manager
 from repro.core.faults import InstrumentationError, Provenance
-from repro.eager import alloc
+from repro.eager import alloc, dispatch
 from repro.models.graph.builders import build_mlp
 
 THREADS = 8
@@ -215,3 +215,67 @@ class TestAllocTrackerHammer:
         assert snap["live"]["tool"] == 0
         assert snap["live"]["amanda"] == 0
         tracker.reset()
+
+    def test_concurrent_uncached_rewrites_release_exactly(self, rng):
+        """Threads share one instrumented session with the graph cache off,
+        so every run rewrites, charges the ``amanda`` scope and releases the
+        charge when it ends; a lost update leaves the scope off by N."""
+        model = build_mlp(seed=5)
+        feed = {model.inputs: rng.standard_normal((4, 16))}
+        tool = amanda.Tool("doubler")
+        tool.add_inst_for_op(
+            lambda context: context.insert_after_op(lambda a: a * 2.0)
+            if context["type"] == "Relu" else None)
+        session = model.session()
+        with amanda.apply(tool):
+            reference = session.run(model.logits, feed)
+        tracker = alloc.tracker
+        live, total = tracker.live["amanda"], tracker.total_allocated["amanda"]
+        runs = 5
+
+        with amanda.apply(tool) as mgr, amanda.cache_disabled():
+            driver = next(d for d in mgr._drivers if d.namespace == "graph")
+
+            def worker(i):
+                for _ in range(runs):
+                    np.testing.assert_array_equal(
+                        session.run(model.logits, feed), reference)
+
+            _run_threads(worker)
+            assert tracker.live["amanda"] == live
+            assert driver._charged == 0
+        session.close()
+        charge = 512 * len(model.graph.operations)
+        assert tracker.total_allocated["amanda"] == \
+            total + THREADS * runs * charge
+        assert tracker.live["amanda"] == live
+
+
+class TestGradModeHammer:
+    def test_no_grad_is_per_thread(self):
+        """Two threads' ``no_grad`` blocks interleave: A enters, B enters,
+        A exits, B exits.  With one process-global flag, B's exit restored
+        the "off" it saved from A and autograd stayed off for every thread
+        (instrumentation routines run under ``no_grad`` on session worker
+        threads, so concurrent instrumented runs did exactly this)."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = []
+
+        def worker(i):
+            if i == 0:
+                with dispatch.no_grad():
+                    a_in.set()
+                    assert b_in.wait(5)
+                seen.append(("a", dispatch.grad_enabled()))
+                a_out.set()
+            else:
+                assert a_in.wait(5)
+                with dispatch.no_grad():
+                    b_in.set()
+                    assert a_out.wait(5)
+                    seen.append(("b", dispatch.grad_enabled()))
+
+        assert dispatch.grad_enabled()
+        _run_threads(worker, n=2)
+        assert seen == [("a", True), ("b", False)]
+        assert dispatch.grad_enabled()
