@@ -7,8 +7,10 @@ Three claims ``repro.serve`` must back with numbers:
   instrumenting every request (rate 1), because un-sampled requests take
   the exempt vanilla fast path instead of queueing on the lease;
 * **vanilla lane is near-free** — the un-sampled path through the pool,
-  batcher and futures stays close to a bare ``session.run`` loop (the
-  machinery must not eat the fast path's win);
+  queue and futures stays close to a bare ``session.run`` loop (the
+  machinery must not eat the fast path's win).  Warm direct-loop and
+  served rounds alternate in one process and their medians are compared,
+  so host noise moves both sides alike;
 * **workers scale the vanilla lane** — adding workers increases vanilla
   throughput (sampled execution is lease-serialized by design).
 
@@ -23,6 +25,7 @@ Runs under pytest (``--benchmark-only``) or directly::
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 
@@ -62,6 +65,8 @@ REQUESTS = 60 if QUICK else 400
 WORKER_COUNTS = (1, 2) if QUICK else (1, 2, 4)
 SAMPLE_RATES = (1, 10, 100)
 BATCH_SIZE = 8
+#: alternating direct/served rounds behind the vanilla-lane comparison
+VANILLA_ROUNDS = 3 if QUICK else 21
 #: large enough per-request batch that kernel work dominates the
 #: pool/batcher/future machinery in the vanilla-overhead comparison
 INPUT_SHAPE = (64, 16)
@@ -75,23 +80,27 @@ def _workload():
     return model, feeds
 
 
+def _timed_burst(rt, tenant, feeds):
+    """Requests/s for submitting ``feeds`` at once and reading every result."""
+    start = time.perf_counter()
+    futures = [rt.submit(tenant, feed) for feed in feeds]
+    for future in futures:
+        future.result(timeout=120.0)
+    return len(feeds) / (time.perf_counter() - start)
+
+
 def _serve_burst(model, feeds, workers, sample_rate, tools):
     rt = serve.ServeRuntime(f"bench-w{workers}-r{sample_rate}",
-                            workers=workers, batch_size=BATCH_SIZE,
-                            deadline_ms=2.0)
+                            workers=workers, batch_size=BATCH_SIZE)
     tenant = rt.register("bench", model.graph, model.logits, tools=tools,
                          sample_rate=sample_rate)
     with rt:
-        start = time.perf_counter()
-        futures = [rt.submit(tenant, feed) for feed in feeds]
-        for future in futures:
-            future.result(timeout=120.0)
-        elapsed = time.perf_counter() - start
+        throughput = _timed_burst(rt, tenant, feeds)
         stats = tenant.stats()
     return {
         "workers": workers,
         "rate": sample_rate,
-        "throughput": len(feeds) / elapsed,
+        "throughput": throughput,
         "sampled": stats["sampled"],
         "vanilla": stats["vanilla"],
         "lat_sampled": stats["latency"]["sampled"],
@@ -99,27 +108,43 @@ def _serve_burst(model, feeds, workers, sample_rate, tools):
     }
 
 
+def _vanilla_rounds(model, feeds):
+    """Alternate a bare ``session.run`` loop on one thread with a burst
+    served by one worker to a toolless tenant (every request vanilla).
+
+    Both sides are warm before the first round: the loop's session has
+    compiled its plan, and the runtime, kept across rounds, has served
+    requests on its pooled session.  Returns the loop's median throughput
+    and the served rounds' median throughput with the lane's latencies.
+    """
+    session = model.session()
+    rt = serve.ServeRuntime("bench-vanilla", workers=1,
+                            batch_size=BATCH_SIZE)
+    tenant = rt.register("bench", model.graph, model.logits)
+    direct, served = [], []
+    with rt:
+        for feed in feeds[:5]:
+            session.run(model.logits, feed)
+            rt.request(tenant, feed, timeout=120.0)
+        for _ in range(VANILLA_ROUNDS):
+            start = time.perf_counter()
+            for feed in feeds:
+                session.run(model.logits, feed)
+            direct.append(len(feeds) / (time.perf_counter() - start))
+            served.append(_timed_burst(rt, tenant, feeds))
+        latency = tenant.stats()["latency"]["vanilla"]
+    session.close()
+    return statistics.median(direct), {"throughput": statistics.median(served),
+                                       "lat_vanilla": latency}
+
+
 def run_all():
     model, feeds = _workload()
-
-    # uninstrumented baseline: a bare session.run loop on one thread
-    session = model.session()
-    for feed in feeds[:5]:
-        session.run(model.logits, feed)  # warm the plan cache
-    start = time.perf_counter()
-    for feed in feeds:
-        session.run(model.logits, feed)
-    direct = len(feeds) / (time.perf_counter() - start)
-    session.close()
-
+    direct, plain = _vanilla_rounds(model, feeds)
     rows = [_serve_burst(model, feeds, workers, rate,
                          tools=(_HeavyAnalysisTool(),))
             for workers in WORKER_COUNTS
             for rate in SAMPLE_RATES]
-
-    # vanilla-lane overhead: toolless tenant (every request vanilla) on one
-    # worker vs the direct loop
-    plain = _serve_burst(model, feeds, workers=1, sample_rate=0, tools=())
     return direct, plain, rows
 
 
@@ -129,7 +154,8 @@ def _fmt_ms(value):
 
 def check_and_report(direct, plain, rows):
     lines = [f"MLP {INPUT_SHAPE}, {REQUESTS} requests/burst, "
-             f"batch<={BATCH_SIZE}, deadline=2ms, host_cpus={os.cpu_count()}",
+             f"batch<={BATCH_SIZE}, host_cpus={os.cpu_count()}",
+             f"medians of {VANILLA_ROUNDS} alternating rounds:",
              f"direct session.run loop: {direct:9.1f} req/s",
              f"serve vanilla-only (1 worker): {plain['throughput']:9.1f} "
              f"req/s ({plain['throughput'] / direct:.2f}x of direct, "

@@ -23,10 +23,10 @@ from .. import tools
 # make ``from repro.amanda.tools import ...`` resolve to repro.tools
 _sys.modules[__name__ + ".tools"] = tools
 from ..core.actions import Action, ActionType, IPoint
-from ..core.config import (Config, arena_reuse, batch_deadline_ms,
-                           capture_enabled, config, effect_analysis,
-                           memory_budget, num_workers, plan_cache_size,
-                           sample_rate, serve_batch, serve_workers)
+from ..core.config import (Config, arena_reuse, capture_enabled, config,
+                           effect_analysis, memory_budget, num_workers,
+                           plan_cache_size, sample_rate, serve_batch,
+                           serve_workers)
 from ..core.context import OpContext
 from ..core.faults import (ERROR_POLICIES, InstrumentationError, Provenance)
 from ..core.ids import LinearCongruentialGenerator, OpIdAssigner
@@ -44,6 +44,5 @@ __all__ = [
     "OpIdAssigner", "tools", "error_policy", "InstrumentationError",
     "Provenance", "ERROR_POLICIES", "Config", "config", "num_workers",
     "effect_analysis", "arena_reuse", "plan_cache_size", "capture_enabled",
-    "serve_workers", "sample_rate", "batch_deadline_ms", "serve_batch",
-    "memory_budget",
+    "serve_workers", "sample_rate", "serve_batch", "memory_budget",
 ]

@@ -25,6 +25,8 @@ subclasses saying how eager tensors cross the instrumentation boundary.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..core.actions import IPoint
@@ -84,6 +86,11 @@ class EagerDriver(BackendDriver):
         self._pending_calls: list[OpCall] = []
         #: ops continued vanilla after a contained tool failure (health)
         self.recovered = 0
+        #: bytes analysed contexts charged to the ``amanda`` scope and not
+        #: yet released: the action cache's records stand for them, so
+        #: clearing that cache or detaching releases them
+        self._charged = 0
+        self._charge_lock = threading.Lock()
 
     # -- lifecycle --------------------------------------------------------------
     def attach(self) -> None:
@@ -100,6 +107,12 @@ class EagerDriver(BackendDriver):
         self._busy = False
         self._last_top_module = None
         self._clear_pending()
+        self.action_cache_cleared()
+
+    def action_cache_cleared(self) -> None:
+        with self._charge_lock:
+            charged, self._charged = self._charged, 0
+        alloc.tracker.release(charged, "amanda")
 
     def _clear_pending(self) -> None:
         """Reset per-forward-op backward tracking (iteration/detach boundary).
@@ -369,8 +382,13 @@ class EagerDriver(BackendDriver):
     #: allocation tracker so the Fig. 13 breakdown sees framework memory
     CONTEXT_BYTES = 512
 
-    def _build_forward_context(self, op_call: OpCall, op_id: int) -> OpContext:
+    def _charge_context(self) -> None:
         alloc.tracker.allocate(self.CONTEXT_BYTES, scope="amanda")
+        with self._charge_lock:
+            self._charged += self.CONTEXT_BYTES
+
+    def _build_forward_context(self, op_call: OpCall, op_id: int) -> OpContext:
+        self._charge_context()
         context = OpContext()
         context["_op"] = op_call
         context["_namespace"] = self.namespace
@@ -577,7 +595,7 @@ class EagerDriver(BackendDriver):
 
     def _build_backward_context(self, node, bdef, bwd_id, grad_outputs,
                                 op_call) -> OpContext:
-        alloc.tracker.allocate(self.CONTEXT_BYTES, scope="amanda")
+        self._charge_context()
         context = OpContext()
         forward_context = None
         if op_call is not None:

@@ -68,3 +68,7 @@ class BackendDriver(abc.ABC):
     @abc.abstractmethod
     def detach(self) -> None:
         """Restore the backend to its vanilla state."""
+
+    def action_cache_cleared(self) -> None:
+        """The manager dropped its eager action cache; release what the
+        driver holds against the dropped records."""

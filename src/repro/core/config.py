@@ -38,20 +38,19 @@ Current knobs:
   dispatch (no tracing, no guards), which is the safe rollback if a
   captured workload misbehaves in production.
 * ``serve_workers`` (env ``AMANDA_SERVE_WORKERS``, default ``2``) — worker
-  threads of a :class:`repro.serve.ServeRuntime`.  Each worker pulls sealed
-  micro-batches off the shared request queue and executes them on pooled
-  sessions; ``"auto"`` resolves to the host CPU count.
+  threads of a :class:`repro.serve.ServeRuntime`.  Each free worker takes
+  the oldest queued request (plus queued requests of the same tenant and
+  lane) off the shared request queue and executes them on pooled sessions;
+  ``"auto"`` resolves to the host CPU count.
 * ``sample_rate`` (env ``AMANDA_SAMPLE_RATE``, default ``1``) — sampled
   instrumentation for the serving runtime: instrument 1-in-N requests per
   tenant and route the rest through the vanilla fast path (an
   instrumentation-exempt pooled session the graph driver never intercepts).
   ``1`` instruments every request; ``0`` disables instrumentation entirely.
-* ``batch_deadline_ms`` (env ``AMANDA_BATCH_DEADLINE_MS``, default ``2.0``)
-  — how long the serving queue holds an open micro-batch waiting for it to
-  fill before flushing it anyway (tail-latency bound on batching).
-* ``serve_batch`` (env ``AMANDA_SERVE_BATCH``, default ``8``) — micro-batch
-  size at which the serving queue seals a batch immediately (flush on
-  batch-size; the deadline above flushes partial batches).
+* ``serve_batch`` (env ``AMANDA_SERVE_BATCH``, default ``8``) — the most
+  requests a serving worker takes from the queue at once: the oldest queued
+  request plus up to ``serve_batch - 1`` more already queued for the same
+  tenant and lane.  A worker never waits for a batch to fill.
 * ``memory_budget`` (env ``AMANDA_MEMORY_BUDGET``, default ``0`` = off) —
   activation-memory budget in bytes for the graph executor.  Accepts plain
   integers or ``K``/``M``/``G`` suffixes (``"512M"``).  With a budget set,
@@ -70,8 +69,7 @@ from contextlib import contextmanager
 
 __all__ = ["Config", "config", "num_workers", "effect_analysis",
            "arena_reuse", "plan_cache_size", "capture_enabled",
-           "serve_workers", "sample_rate", "batch_deadline_ms",
-           "serve_batch", "memory_budget"]
+           "serve_workers", "sample_rate", "serve_batch", "memory_budget"]
 
 
 def _parse_workers(value: str | int | None, default: int = 1) -> int:
@@ -149,17 +147,6 @@ def _parse_bytes(value: str | int | None, default: int = 0) -> int:
         return default
 
 
-def _parse_ms(value: str | float | None, default: float) -> float:
-    """Parse a non-negative duration in milliseconds."""
-    if value is None:
-        return default
-    try:
-        ms = float(value)
-    except (TypeError, ValueError):
-        return default
-    return max(0.0, ms)
-
-
 class Config:
     """Process-global runtime knobs, env-seeded and scope-overridable."""
 
@@ -180,8 +167,6 @@ class Config:
             os.environ.get("AMANDA_SERVE_WORKERS"), default=2)
         self.sample_rate = _parse_rate(
             os.environ.get("AMANDA_SAMPLE_RATE"), default=1)
-        self.batch_deadline_ms = _parse_ms(
-            os.environ.get("AMANDA_BATCH_DEADLINE_MS"), default=2.0)
         self.serve_batch = _parse_bound(
             os.environ.get("AMANDA_SERVE_BATCH"), default=8)
         self.memory_budget = _parse_bytes(
@@ -198,7 +183,6 @@ class Config:
                 f"capture={self.capture}, "
                 f"serve_workers={self.serve_workers}, "
                 f"sample_rate={self.sample_rate}, "
-                f"batch_deadline_ms={self.batch_deadline_ms}, "
                 f"serve_batch={self.serve_batch}, "
                 f"memory_budget={self.memory_budget})")
 
@@ -285,17 +269,6 @@ def sample_rate(rate: int):
 
 
 @contextmanager
-def batch_deadline_ms(deadline: float):
-    """Scope-override the micro-batch flush deadline (milliseconds)."""
-    previous = config.batch_deadline_ms
-    config.batch_deadline_ms = _parse_ms(deadline, default=previous)
-    try:
-        yield config
-    finally:
-        config.batch_deadline_ms = previous
-
-
-@contextmanager
 def memory_budget(budget: int | str):
     """Scope-override the executor memory budget (``amanda.memory_budget``).
 
@@ -312,7 +285,7 @@ def memory_budget(budget: int | str):
 
 @contextmanager
 def serve_batch(size: int):
-    """Scope-override the micro-batch size bound."""
+    """Scope-override how many same-key requests a worker takes at once."""
     previous = config.serve_batch
     config.serve_batch = _parse_bound(size, default=previous)
     try:

@@ -223,7 +223,7 @@ class InstrumentationManager:
 
     def _invalidate(self) -> None:
         self.tool_epoch += 1
-        self.action_cache.clear()
+        self.clear_action_cache()
         self.ids.reset()
         self.backward_ids.reset()
 
@@ -441,6 +441,12 @@ class InstrumentationManager:
             self._errors_by_op = {}
 
     # -- cache -------------------------------------------------------------------
+    def clear_action_cache(self) -> None:
+        """Drop every cached op record and tell the drivers."""
+        self.action_cache.clear()
+        for driver in self._drivers:
+            driver.action_cache_cleared()
+
     def cache_lookup(self, op_id: int) -> CachedOpRecord | None:
         if not self.cache_enabled:
             return None
@@ -570,7 +576,7 @@ def cache_disabled():
     """Disable the action cache (every execution re-runs analysis routines)."""
     previous = manager.cache_enabled
     manager.cache_enabled = False
-    manager.action_cache.clear()
+    manager.clear_action_cache()
     try:
         yield
     finally:

@@ -1,9 +1,10 @@
 """``repro.serve`` — instrumentation-as-a-service for the graph backend.
 
 Serve several tenants (graph + fetches + tool registry) concurrently from
-one process: requests are micro-batched per tenant and lane, 1-in-N
-requests run under that tenant's instrumentation, and the rest take the
-vanilla fast path on pooled instrumentation-exempt sessions.  See
+one process.  Requests queue per tenant and lane, and a free worker takes
+the oldest at once; 1-in-N requests run under that tenant's
+instrumentation and the rest take the vanilla fast path on pooled
+instrumentation-exempt sessions.  See
 :mod:`repro.serve.runtime` for the architecture notes and ``DESIGN.md``
 ("Serving layer") for the rationale.
 

@@ -1,28 +1,24 @@
-"""Dynamic micro-batching queue: flush on batch-size or deadline.
+"""Work-conserving request queue: one FIFO per (tenant, lane) key.
 
-Requests accumulate into *open* batches keyed by (tenant, lane).  A batch is
-sealed — moved to the ready queue the workers drain — as soon as either
+Requests queue in arrival order under their (tenant, lane) key.  A free
+worker takes the oldest queued request at once, together with up to
+``max_batch - 1`` more requests already queued under the same key, so a
+worker never sleeps while work is queued and a lone request never waits for
+company.  The key whose head request is oldest is served first, so no
+tenant can starve another.
 
-* it reaches ``max_batch`` requests (flush on size), or
-* its oldest request has waited ``deadline`` seconds (flush on deadline).
-
-The deadline bounds the latency cost of batching: a lone request is never
-held longer than the deadline waiting for company.  Sealing order is
-arrival order of the *seal events* (FIFO over sealed batches), so no tenant
-can starve another.
+A batch is a *dispatch* grouping only: its requests share one lease acquire
+or one pool checkout and still run one ``session.run`` each, so a served
+response stays bit-identical to a direct ``session.run``.
 
 The batcher is the single synchronization point between client threads
 (:meth:`put`) and serving workers (:meth:`take`); everything is guarded by
-one condition variable.  :meth:`take` owns the deadline clock: it seals
-expired batches on every wake-up and sleeps no longer than the earliest
-outstanding deadline, so deadlines are honored without a dedicated timer
-thread.
+one condition variable.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 
 from .queue import ServeRequest
@@ -30,106 +26,68 @@ from .queue import ServeRequest
 __all__ = ["MicroBatcher"]
 
 
-class _OpenBatch:
-    __slots__ = ("requests", "deadline")
-
-    def __init__(self, deadline: float) -> None:
-        self.requests: list[ServeRequest] = []
-        self.deadline = deadline
-
-
 class MicroBatcher:
-    """Thread-safe size/deadline micro-batcher over :class:`ServeRequest`."""
+    """Thread-safe per-key FIFO queue that hands out same-key batches."""
 
-    def __init__(self, max_batch: int, deadline: float) -> None:
+    def __init__(self, max_batch: int) -> None:
         self.max_batch = max(1, int(max_batch))
-        self.deadline = max(0.0, float(deadline))
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._open: dict[tuple, _OpenBatch] = {}
-        self._ready: deque[list[ServeRequest]] = deque()
+        self._cond = threading.Condition()
+        #: (tenant, lane) -> its queued requests, oldest first; a key is
+        #: present only while it has queued requests
+        self._queues: dict[tuple, deque[ServeRequest]] = {}
         self._stopped = False
         # observability (metrics endpoint)
         self.enqueued = 0
         self.batches = 0
-        self.size_flushes = 0
-        self.deadline_flushes = 0
 
     # -- producer side --------------------------------------------------------
     def put(self, request: ServeRequest) -> None:
         with self._cond:
             if self._stopped:
                 raise RuntimeError("serving queue is stopped")
-            batch = self._open.get(request.key)
-            if batch is None:
-                batch = self._open[request.key] = _OpenBatch(
-                    time.monotonic() + self.deadline)
-            batch.requests.append(request)
+            self._queues.setdefault(request.key, deque()).append(request)
             self.enqueued += 1
-            if len(batch.requests) >= self.max_batch:
-                self._seal(request.key, on_deadline=False)
             self._cond.notify()
 
     # -- consumer side --------------------------------------------------------
     def take(self, timeout: float | None = None) -> list[ServeRequest] | None:
-        """The next sealed batch, or ``None`` on timeout / drained stop.
-
-        Seals any open batch whose deadline has expired before sleeping,
-        and never sleeps past the earliest outstanding deadline.
-        """
-        limit = None if timeout is None else time.monotonic() + timeout
+        """The oldest queued request plus up to ``max_batch - 1`` more of its
+        key, or ``None`` on timeout or once stopped and drained."""
         with self._cond:
-            while True:
-                now = time.monotonic()
-                for key in [k for k, b in self._open.items()
-                            if b.deadline <= now]:
-                    self._seal(key, on_deadline=True)
-                if self._ready:
-                    return self._ready.popleft()
-                if self._stopped:
-                    return None
-                if limit is not None and now >= limit:
-                    return None
-                waits = [batch.deadline - now
-                         for batch in self._open.values()]
-                if limit is not None:
-                    waits.append(limit - now)
-                self._cond.wait(timeout=min(waits) if waits else None)
-
-    def _seal(self, key: tuple, on_deadline: bool) -> None:
-        batch = self._open.pop(key)
-        self._ready.append(batch.requests)
-        self.batches += 1
-        if on_deadline:
-            self.deadline_flushes += 1
-        else:
-            self.size_flushes += 1
+            self._cond.wait_for(lambda: self._queues or self._stopped,
+                                timeout)
+            if not self._queues:
+                return None
+            key = min(self._queues,
+                      key=lambda k: self._queues[k][0].enqueued_at)
+            queue = self._queues[key]
+            batch = [queue.popleft()
+                     for _ in range(min(self.max_batch, len(queue)))]
+            if not queue:
+                del self._queues[key]
+            self.batches += 1
+            return batch
 
     # -- lifecycle -------------------------------------------------------------
     def stop(self) -> None:
-        """Stop accepting requests; seal open batches for draining."""
+        """Stop accepting requests; queued ones are still handed out."""
         with self._cond:
             self._stopped = True
-            for key in list(self._open):
-                self._seal(key, on_deadline=False)
             self._cond.notify_all()
 
     @property
     def pending(self) -> int:
         """Requests enqueued but not yet handed to a worker."""
-        with self._lock:
-            return (sum(len(b.requests) for b in self._open.values())
-                    + sum(len(b) for b in self._ready))
+        with self._cond:
+            return sum(len(queue) for queue in self._queues.values())
 
     def stats(self) -> dict:
-        with self._lock:
+        with self._cond:
             return {
                 "enqueued": self.enqueued,
                 "batches": self.batches,
-                "size_flushes": self.size_flushes,
-                "deadline_flushes": self.deadline_flushes,
-                "open": len(self._open),
-                "ready": len(self._ready),
+                # always 0, since no batch waits for a deadline; kept for
+                # readers that compute a deadline-flush ratio
+                "deadline_flushes": 0,
                 "max_batch": self.max_batch,
-                "deadline_ms": self.deadline * 1e3,
             }

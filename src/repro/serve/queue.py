@@ -1,9 +1,10 @@
 """Request/response primitives for the serving runtime.
 
 A :class:`ServeRequest` is one tenant inference call moving through the
-pipeline: submitted by a client thread, grouped into a micro-batch by the
-:class:`~repro.serve.batcher.MicroBatcher`, executed by a worker on a pooled
-session, and resolved through its :class:`ServeFuture`.
+pipeline: submitted by a client thread, queued under its (tenant, lane) key
+by the :class:`~repro.serve.batcher.MicroBatcher`, taken by the next free
+worker (with any requests queued behind it under the same key), executed on
+a pooled session, and resolved through its :class:`ServeFuture`.
 
 The future is deliberately tiny — an event plus a result/exception slot —
 because the serving runtime is thread-based: clients block on
@@ -74,7 +75,7 @@ class ServeRequest:
 
     @property
     def key(self) -> tuple:
-        """Micro-batch affinity: same tenant, same lane batch together."""
+        """Queue key: requests of one tenant and lane batch together."""
         return (self.tenant.name, self.sampled)
 
     def __repr__(self) -> str:

@@ -3,7 +3,13 @@
 A :class:`ServeRuntime` serves inference requests for several *tenants* —
 each a (graph, fetches, tools) triple — concurrently from one process,
 while keeping the paper's one-manager-per-process instrumentation model
-intact.  Three mechanisms make that safe:
+intact.  Requests reach the workers through a work-conserving queue
+(:class:`~repro.serve.batcher.MicroBatcher`): a free worker takes the oldest
+queued request at once, together with requests already queued for the same
+tenant and lane.  Such a batch shares one lease acquire or one pool
+checkout; each request still runs its own ``session.run``, so a served
+response is bit-identical to a direct one.  Three mechanisms make serving
+safe:
 
 **Sampled instrumentation.**  Running every request under instrumentation
 would serialize the whole service on the process-global manager.  Instead
@@ -167,14 +173,14 @@ class ServeRuntime:
     def __init__(self, name: str = "default", workers: int | None = None,
                  batch_size: int | None = None,
                  deadline_ms: float | None = None) -> None:
+        """``deadline_ms`` is accepted and ignored: the queue is
+        work-conserving and holds no batch open waiting for company.  It
+        stays only so that existing callers passing it keep working."""
         self.name = name
         self.workers = (config.serve_workers if workers is None
                         else max(1, int(workers)))
-        self._batcher = MicroBatcher(
-            max_batch=(config.serve_batch if batch_size is None
-                       else batch_size),
-            deadline=(config.batch_deadline_ms if deadline_ms is None
-                      else float(deadline_ms)) / 1e3)
+        self._batcher = MicroBatcher(config.serve_batch if batch_size is None
+                                     else batch_size)
         self._pool = SessionPool()
         self._lease = _InstrumentationLease()
         self._tenants: dict[str, Tenant] = {}
@@ -239,10 +245,9 @@ class ServeRuntime:
     def stop(self) -> None:
         """Drain the queue, stop the workers, release all shared state.
 
-        Every already-submitted request is still served (the batcher seals
-        its open batches and workers drain the ready queue before exiting);
-        afterwards the lease is closed so ``manager.active`` is false again
-        and pooled sessions are released.
+        Every already-submitted request is still served (workers drain the
+        queue before exiting); afterwards the lease is closed so
+        ``manager.active`` is false again and pooled sessions are released.
         """
         with self._lock:
             self._stopping = True

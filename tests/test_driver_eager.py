@@ -6,7 +6,7 @@ import pytest
 import repro.amanda as amanda
 import repro.eager as E
 from repro.amanda import Tool, manager
-from repro.eager import F
+from repro.eager import F, alloc
 
 
 def run_linear(rng, tool, iterations=1, requires_grad=False):
@@ -295,6 +295,27 @@ class TestCaching:
             assert all(record.empty
                        for record in manager.action_cache.values())
             assert len(manager.action_cache) > 0
+
+    def test_context_charges_released_with_the_cache(self, rng):
+        tool = Tool("t")
+        tool.add_inst_for_op(lambda ctx: None)
+        tool.add_inst_for_op(lambda ctx: None, backward=True)
+        lin = E.Linear(3, 2, rng=rng)
+        x = E.tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        live = alloc.tracker.live["amanda"]
+        total = alloc.tracker.total_allocated["amanda"]
+        with amanda.apply(tool):
+            lin(x).sum().backward()
+            charged = alloc.tracker.live["amanda"] - live
+            assert charged > 0
+            # a nested scope changes the toolset and clears the cache
+            with amanda.apply(Tool("nested")):
+                assert alloc.tracker.live["amanda"] == live
+                lin(x).sum().backward()
+                assert alloc.tracker.live["amanda"] == live + charged
+        assert alloc.tracker.live["amanda"] == live
+        # releasing leaves the allocation total (Fig. 13's input) alone
+        assert alloc.tracker.total_allocated["amanda"] == total + 2 * charged
 
 
 class TestIterationBoundaries:

@@ -150,7 +150,9 @@ class TestFallbackRules:
     def test_serial_when_workers_not_requested(self, rng):
         gm = GM.build_mlp(learning_rate=None)
         sess = gm.session()
-        sess.run(gm.logits, {gm.inputs: rng.standard_normal((4, 16))})
+        # pin the default: the suite also runs with AMANDA_NUM_WORKERS set
+        with amanda.num_workers(1):
+            sess.run(gm.logits, {gm.inputs: rng.standard_normal((4, 16))})
         assert not sess.last_run_parallel
         assert sess.last_fallback_reason is None
 

@@ -1,6 +1,6 @@
 """Unit tests for the ``repro.serve`` serving runtime components.
 
-Covers the micro-batcher's size/deadline flush semantics, future
+Covers the work-conserving queue's ordering and batch sizes, future
 resolution, deterministic per-tenant sampling, end-to-end submit/result,
 drain-on-stop, the sticky lease's idle close, and the metrics endpoint —
 plus regression tests for the falsy-empty-graph fallbacks fixed in the same
@@ -10,6 +10,8 @@ checks silently redirected ops to the default graph).
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -37,27 +39,86 @@ def _request(tenant_name="t", sampled=False):
 
 class TestMicroBatcher:
     def test_flush_on_size(self):
-        b = MicroBatcher(max_batch=3, deadline=60.0)
+        b = MicroBatcher(max_batch=3)
         for _ in range(3):
             b.put(_request())
         batch = b.take(timeout=0.0)
         assert batch is not None and len(batch) == 3
-        stats = b.stats()
-        assert stats["size_flushes"] == 1
-        assert stats["deadline_flushes"] == 0
+        assert b.stats()["deadline_flushes"] == 0
 
-    def test_flush_on_deadline(self):
-        b = MicroBatcher(max_batch=64, deadline=0.02)
-        b.put(_request())
-        start = time.monotonic()
-        batch = b.take(timeout=2.0)
-        waited = time.monotonic() - start
-        assert batch is not None and len(batch) == 1
-        assert waited < 1.0, "deadline flush did not preempt the timeout"
-        assert b.stats()["deadline_flushes"] == 1
+    def test_lone_request_is_taken_at_once(self):
+        b = MicroBatcher(max_batch=64)
+        request = _request()
+        b.put(request)
+        # a free worker never waits for a batch to fill
+        assert b.take(timeout=0.0) == [request]
+
+    def test_oldest_head_first_with_same_key_grouping(self):
+        b = MicroBatcher(max_batch=8)
+        a1, b1, a2 = _request("a"), _request("b"), _request("a")
+        for request in (a1, b1, a2):
+            b.put(request)
+        assert b.take(timeout=0.0) == [a1, a2]
+        assert b.take(timeout=0.0) == [b1]
+        assert b.take(timeout=0.0) is None
+
+    def test_batches_capped_at_max_batch(self):
+        b = MicroBatcher(max_batch=4)
+        for _ in range(10):
+            b.put(_request())
+        sizes = [len(b.take(timeout=0.0)) for _ in range(3)]
+        assert sizes == [4, 4, 2]
+        assert b.stats()["batches"] == 3 and b.pending == 0
+
+    def test_concurrent_producers_and_consumers(self):
+        """Every request is handed out exactly once, in same-key batches of
+        at most ``max_batch`` that keep each producer's order."""
+        b = MicroBatcher(max_batch=3)
+        taken, drained = [], []
+
+        def produce(i):
+            for k in range(200):
+                b.put(ServeRequest(_FakeTenant(f"t{i % 2}"), {"n": (i, k)},
+                                   sampled=k % 3 == 0))
+
+        def consume():
+            # take() without a timeout returns None only once stopped and
+            # drained
+            while (batch := b.take()) is not None:
+                taken.append(batch)
+            drained.append(True)
+
+        producers = [threading.Thread(target=produce, args=(i,), daemon=True)
+                     for i in range(4)]
+        consumers = [threading.Thread(target=consume, daemon=True)
+                     for _ in range(3)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in consumers + producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=30.0)
+            b.stop()
+            for thread in consumers:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in producers + consumers)
+        assert len(drained) == len(consumers)
+        for batch in taken:
+            assert 1 <= len(batch) <= 3
+            assert len({r.key for r in batch}) == 1
+            for i in range(4):
+                ks = [r.feed["n"][1] for r in batch if r.feed["n"][0] == i]
+                assert ks == sorted(ks)
+        delivered = [r.feed["n"] for batch in taken for r in batch]
+        assert sorted(delivered) == [(i, k) for i in range(4)
+                                     for k in range(200)]
+        assert b.stats()["enqueued"] == 800 and b.pending == 0
 
     def test_batches_partition_by_tenant_and_lane(self):
-        b = MicroBatcher(max_batch=64, deadline=0.0)  # seal immediately
+        b = MicroBatcher(max_batch=64)
         b.put(_request("a", sampled=False))
         b.put(_request("a", sampled=True))
         b.put(_request("b", sampled=False))
@@ -69,11 +130,11 @@ class TestMicroBatcher:
         assert keys == {("a", False), ("a", True), ("b", False)}
 
     def test_take_returns_none_on_timeout_and_stop_drains(self):
-        b = MicroBatcher(max_batch=4, deadline=60.0)
+        b = MicroBatcher(max_batch=4)
         assert b.take(timeout=0.01) is None
         b.put(_request())
         b.put(_request())
-        b.stop()  # seals the open batch for draining
+        b.stop()  # queued requests are still handed out
         assert len(b.take(timeout=0.0)) == 2
         assert b.take(timeout=0.0) is None  # stopped and drained
         with pytest.raises(RuntimeError):
@@ -141,14 +202,27 @@ class TestServeRuntime:
         futures = [rt.submit(tenant,
                              {model.inputs: rng.standard_normal((2, 16))})
                    for _ in range(6)]
-        # the batch is far from full and its deadline is 10s out; stop()
-        # must still serve everything already submitted
+        # requests may still be queued when stop() is called; it must
+        # serve everything already submitted
         rt.stop()
         for f in futures:
             assert f.result(timeout=0).shape == (2, 4)
         assert rt.snapshot()["completed"] == 6
         with pytest.raises(RuntimeError):
             rt.submit(tenant, {})
+
+    def test_lone_request_does_not_wait_for_a_batch(self, rng):
+        model = build_mlp(seed=6)
+        # a batch size no traffic fills and a deadline far past the
+        # timeout: the request must still be served at once
+        rt = serve.ServeRuntime("lone", workers=1, batch_size=64,
+                                deadline_ms=10_000.0)
+        tenant = rt.register("mlp", model.graph, model.logits)
+        with rt:
+            out = rt.request(tenant,
+                             {model.inputs: rng.standard_normal((2, 16))},
+                             timeout=5.0)
+        assert out.shape == (2, 4)
 
     def test_raise_policy_propagates_to_future(self, rng):
         model = build_mlp(seed=7)
