@@ -7,12 +7,6 @@ sizes 1, 2, 4.
 Expected shape: Amanda's share is a minor fraction and *shrinks* as the batch
 grows (framework bookkeeping is batch-independent while activations scale);
 the relative overhead is largest for the small Transformer at batch 1.
-
-A second table reports arena churn for the graph cases: the liveness
-simulator's idealized capacity/growth/reuse counts next to the measured
-steady-state ``Arena`` stats (``amanda.arena_reuse(True)``) — after the
-first (cold) run the arena should stop growing and serve every
-intermediate from the pool.
 """
 
 import numpy as np
@@ -22,7 +16,6 @@ import repro.eager as E
 import repro.models.eager as M
 import repro.models.graph as GM
 from repro.amanda.tools import ExecutionTraceTool
-from repro.analysis.liveness import estimate_liveness
 from repro.eager import alloc
 
 from _common import report
@@ -49,29 +42,6 @@ def graph_case(build, make_feed, batch):
         sess.run(gm.logits, make_feed(gm, batch))
         totals = alloc.tracker.snapshot()["total"]
     return totals
-
-
-def arena_case(build, make_feed, batch):
-    """Static (liveness-simulated) vs. measured arena churn for one graph."""
-    gm = build()
-    feed = make_feed(gm, batch)
-    feed_shapes = {t.op.name: np.asarray(v).shape for t, v in feed.items()}
-    static = estimate_liveness(gm.graph, fetches=[gm.logits],
-                               feed_shapes=feed_shapes)
-    with amanda.arena_reuse(True):
-        sess = gm.session()
-        sess.run(gm.logits, feed)  # cold run: plan build + arena growth
-        cold = dict(sess._arena.stats())
-        sess.run(gm.logits, feed)  # steady state: pure reuse
-        steady = sess._arena.stats()
-    return {
-        "capacity_kb": static.arena_capacity_bytes / 1024.0,
-        "sim_growths": static.arena_growths,
-        "sim_reuses": static.arena_reuses,
-        "cold_growths": cold["growths"],
-        "steady_growths": steady["growths"] - cold["growths"],
-        "steady_reuses": steady["reuses"] - cold["reuses"],
-    }
 
 
 def run_memory():
@@ -104,18 +74,11 @@ def run_memory():
             lambda: GM.build_resnet(layers=(1, 1, 1, 1)), image_feed, batch)))
         cases.append(("Graph-Transformer", batch, graph_case(
             GM.build_bert, token_feed, batch)))
-
-    arenas = []
-    for batch in (1, 4):
-        arenas.append(("Graph-ResNet", batch, arena_case(
-            lambda: GM.build_resnet(layers=(1, 1, 1, 1)), image_feed, batch)))
-        arenas.append(("Graph-Transformer", batch, arena_case(
-            GM.build_bert, token_feed, batch)))
-    return cases, arenas
+    return cases
 
 
 def test_fig13_memory(benchmark):
-    cases, arenas = benchmark.pedantic(run_memory, rounds=1, iterations=1)
+    cases = benchmark.pedantic(run_memory, rounds=1, iterations=1)
     lines = [f"{'model':<18} {'batch':>5} {'DNN %':>8} {'Amanda %':>9} "
              f"{'tool %':>7}"]
     shares = {}
@@ -128,19 +91,6 @@ def test_fig13_memory(benchmark):
         lines.append(f"{name:<18} {batch:>5} {dnn:>7.1f}% {fw:>8.1f}% "
                      f"{tool:>6.1f}%")
 
-    lines.append("")
-    lines.append("arena churn (liveness simulation vs. measured steady state)")
-    lines.append(f"{'model':<18} {'batch':>5} {'cap KiB':>9} {'sim gr':>7} "
-                 f"{'sim re':>7} {'cold gr':>8} {'ss gr':>6} {'ss re':>6}")
-    for name, batch, stats in arenas:
-        lines.append(
-            f"{name:<18} {batch:>5} {stats['capacity_kb']:>9.1f} "
-            f"{stats['sim_growths']:>7} {stats['sim_reuses']:>7} "
-            f"{stats['cold_growths']:>8} {stats['steady_growths']:>6} "
-            f"{stats['steady_reuses']:>6}")
-        # steady state: the warmed arena stops growing and actually recycles
-        assert stats["steady_growths"] == 0, (name, batch, stats)
-        assert stats["steady_reuses"] > 0, (name, batch, stats)
     report("fig13_memory", lines)
 
     # overhead share shrinks (or stays flat) with batch size

@@ -1,4 +1,4 @@
-"""A/B: memory-budgeted execution (static rematerialization) vs arena reuse.
+"""A/B: memory-budgeted execution (static rematerialization) vs plain release.
 
 The remat pass (``repro.analysis.remat``) compiles a keep-vs-recompute
 schedule whenever a plan's liveness bound exceeds ``amanda.memory_budget``;
@@ -6,18 +6,18 @@ the slot-table executor then re-runs evicted producers as extra slot
 entries.  This benchmark fixes a byte budget per model and asks the only
 question a budget exists to answer: **how large a training batch fits?**
 
-* **baseline** — unbudgeted execution with the buffer arena on (the repo's
-  existing memory-reuse mechanism: last-use releases, no recomputes);
-* **remat** — ``amanda.memory_budget(budget)`` execution (arena off, the
-  remat schedule's per-step frees drive the allocation tracker).
+* **baseline** — unbudgeted execution: the executor frees every
+  intermediate at its last use, no recomputes;
+* **remat** — ``amanda.memory_budget(budget)`` execution (the remat
+  schedule's per-step frees drive the allocation tracker).
 
 For each mode the max feasible batch is found by doubling then binary
-search, where *feasible* means the arena-tracked measured peak stays within
-the budget.  Raced on InceptionV3 and BERT training steps (forward +
-backward + in-place SGD updates):
+search, where *feasible* means the tracker-measured peak stays within the
+budget.  Raced on InceptionV3 and BERT training steps (forward + backward +
+in-place SGD updates):
 
-* **equivalence** — budgeted training is bit-identical to unbudgeted at
-  workers {1, 4} (losses of two consecutive steps compared);
+* **equivalence** — budgeted training is bit-identical to unbudgeted
+  (losses of two consecutive steps compared);
 * **capacity** — remat fits a >= 1.5x larger batch than the baseline under
   the same budget (asserted for InceptionV3, reported for BERT);
 * **overhead** — recompute cost is reported as scheduled FLOPs and as the
@@ -88,19 +88,14 @@ class BertCase(ModelCase):
                 RNG.integers(0, 2, (batch, 16)))
 
 
-def _run_step(case, batch, budget=None, arena=False, workers=1, steps=1):
+def _run_step(case, batch, budget=None, steps=1):
     """Fresh model, ``steps`` training iterations; returns peak + schedule."""
     gm = case.build()
     feed = case.feed(gm, batch)
-    scopes = [amanda.num_workers(workers)]
-    if budget is not None:
-        scopes.append(amanda.memory_budget(budget))
-    if arena:
-        scopes.append(amanda.arena_reuse(True))
+    scope = (amanda.memory_budget(budget) if budget is not None
+             else contextlib.nullcontext())
     losses = []
-    with gm.session() as sess, contextlib.ExitStack() as stack:
-        for scope in scopes:
-            stack.enter_context(scope)
+    with gm.session() as sess, scope:
         alloc.tracker.reset()
         start = time.perf_counter()
         for _ in range(steps):
@@ -124,8 +119,7 @@ def _max_feasible_batch(case, budget, budgeted):
     def fits(batch):
         if batch not in probe:
             result = _run_step(case, batch,
-                               budget=budget if budgeted else None,
-                               arena=not budgeted)
+                               budget=budget if budgeted else None)
             probe[batch] = result["peak"] <= budget
         return probe[batch]
 
@@ -149,8 +143,8 @@ def bench_case(case):
     # batch size: the most generous budget that still provably caps the
     # baseline at ref_batch, so every extra image the remat mode fits is
     # bought purely by recomputation
-    reference = _run_step(case, case.ref_batch, arena=True)
-    next_up = _run_step(case, case.ref_batch + 1, arena=True)
+    reference = _run_step(case, case.ref_batch)
+    next_up = _run_step(case, case.ref_batch + 1)
     budget = next_up["peak"] - 1
 
     base_max, _ = _max_feasible_batch(case, budget, budgeted=False)
@@ -161,18 +155,16 @@ def bench_case(case):
         f"{case.name}: measured peak {at_max['peak']} exceeds {budget}"
     assert at_max["remat"] is not None and at_max["remat_error"] is None
 
-    # bit-identity: budgeted training matches unbudgeted, workers {1, 4}
+    # bit-identity: budgeted training matches unbudgeted
     vanilla = _run_step(case, case.ref_batch, steps=2)
-    for workers in (1, 4):
-        budgeted = _run_step(case, case.ref_batch, budget=budget // 2,
-                             workers=workers, steps=2)
-        for expected, got in zip(vanilla["losses"], budgeted["losses"]):
-            np.testing.assert_array_equal(expected, got)
+    budgeted = _run_step(case, case.ref_batch, budget=budget // 2, steps=2)
+    for expected, got in zip(vanilla["losses"], budgeted["losses"]):
+        np.testing.assert_array_equal(expected, got)
 
     # recompute overhead at the max remat batch: budgeted vs unbudgeted wall
     plain_walls, remat_walls = [], []
     for _ in range(ROUNDS):
-        plain_walls.append(_run_step(case, remat_max, arena=True)["elapsed"])
+        plain_walls.append(_run_step(case, remat_max)["elapsed"])
         remat_walls.append(
             _run_step(case, remat_max, budget=budget)["elapsed"])
     return {
@@ -191,13 +183,13 @@ def bench_case(case):
 def check_and_report(results):
     lines = [f"host_cpus={os.cpu_count()}, rounds={ROUNDS}, "
              f"max probed batch={MAX_BATCH}; budget = one byte below the "
-             f"arena baseline's peak at ref_batch+1; feasible = "
+             f"baseline's peak at ref_batch+1; feasible = "
              f"tracker-measured peak <= budget; fetch=[loss, train_op]"]
     for r in results:
         sched = r["schedule"]
         ratio = r["remat_max"] / max(1, r["base_max"])
         lines.append(f"{r['name']}: budget {r['budget'] / 1e6:.2f} MB")
-        lines.append(f"  max feasible batch: baseline(arena) "
+        lines.append(f"  max feasible batch: baseline "
                      f"{r['base_max']}, remat {r['remat_max']} "
                      f"({ratio:.2f}x)")
         lines.append(f"  remat peak at batch {r['remat_max']}: "

@@ -23,8 +23,7 @@ from .. import tools
 # make ``from repro.amanda.tools import ...`` resolve to repro.tools
 _sys.modules[__name__ + ".tools"] = tools
 from ..core.actions import Action, ActionType, IPoint
-from ..core.config import (Config, arena_reuse, capture_enabled, config,
-                           effect_analysis, memory_budget, num_workers,
+from ..core.config import (Config, capture_enabled, config, memory_budget,
                            plan_cache_size, sample_rate, serve_batch,
                            serve_workers)
 from ..core.context import OpContext
@@ -42,7 +41,7 @@ __all__ = [
     "allow_instrumented_ad", "new_iteration", "manager",
     "InstrumentationManager", "Interceptor", "LinearCongruentialGenerator",
     "OpIdAssigner", "tools", "error_policy", "InstrumentationError",
-    "Provenance", "ERROR_POLICIES", "Config", "config", "num_workers",
-    "effect_analysis", "arena_reuse", "plan_cache_size", "capture_enabled",
-    "serve_workers", "sample_rate", "serve_batch", "memory_budget",
+    "Provenance", "ERROR_POLICIES", "Config", "config", "plan_cache_size",
+    "capture_enabled", "serve_workers", "sample_rate", "serve_batch",
+    "memory_budget",
 ]

@@ -21,9 +21,12 @@ runs and silently computes the wrong thing.  This package catches those bugs
   estimator cross-checkable against the dynamic
   :class:`repro.tools.memory.MemoryProfilingTool`;
 * :mod:`repro.analysis.effects` — per-op effect signatures (pure /
-  reads-state / writes-state / rng / ordered-event / opaque) and the
-  plan-level race detector the wavefront executor uses to serialize only
-  the genuinely conflicting op pairs.
+  reads-state / writes-state / rng / ordered-event / opaque), which decide
+  what the rematerialization pass may recompute, and the plan-level race
+  detector that reports op pairs whose order only the plan's tie-break
+  fixes;
+* :mod:`repro.analysis.remat` — static keep-vs-recompute schedules for a
+  memory budget.
 
 Run ``python -m repro.analysis`` to verify and lint the graphs built by the
 ``examples/`` model zoo.

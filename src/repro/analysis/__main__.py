@@ -6,6 +6,7 @@ Usage::
     python -m repro.analysis resnet bert    # a subset
     python -m repro.analysis --strict       # lint warnings fail the run
     python -m repro.analysis races          # effect/race analysis only
+    python -m repro.analysis remat          # static remat schedules only
 
 For every example model the tool
 
@@ -26,6 +27,9 @@ completeness against the schema registry and reports every conflicting op
 pair of each example's training plan.  The vanilla model zoo must report
 zero conflicts (every variable writer is ordered behind its read by a data
 edge), so any finding is a regression and fails the run.
+
+The ``remat`` subcommand prints each example's static rematerialization
+schedule against a memory budget instead.
 """
 
 from __future__ import annotations
@@ -141,15 +145,20 @@ def _check_effects() -> int:
 
 
 def _races_example(name: str, build, feeds) -> int:
-    from ..graph.core import GraphTensor, topo_plan
+    from ..graph.core import GraphTensor, plan_levels, topo_plan
     from .effects import analyze_plan
 
     gm = build()
     fetches = [gm.loss] + ([gm.train_op] if gm.train_op is not None else [])
     roots = [f.op if isinstance(f, GraphTensor) else f for f in fetches]
-    report = analyze_plan(topo_plan(roots))
+    plan = topo_plan(roots)
+    report = analyze_plan(plan)
+    # the dependency levels once every conflicting pair is ordered: how much
+    # mutually independent work the plan holds
+    levels = plan_levels(plan, extra_deps=report.extra_edges)
     status = "ok  " if report.ok else "FAIL"
-    print(f"{status} {name}: {report}")
+    print(f"{status} {name} ({len(levels)} levels, widest "
+          f"{max(len(level) for level in levels)}): {report}")
     return 0 if report.ok else 1
 
 
@@ -183,7 +192,7 @@ def _remat_example(name: str, build, feeds, budget: int | None) -> int:
     fetches = [gm.loss] + ([gm.train_op] if gm.train_op is not None else [])
     unbudgeted = plan_remat_for_graph(gm.graph, fetches, budget=1 << 62,
                                       feed_shapes=feeds)
-    baseline = unbudgeted.peak_bytes
+    baseline = unbudgeted.serial_peak
     target = budget if budget is not None else int(baseline * 0.6)
     schedule = plan_remat_for_graph(gm.graph, fetches, budget=target,
                                     feed_shapes=feeds)
@@ -191,7 +200,7 @@ def _remat_example(name: str, build, feeds, budget: int | None) -> int:
     print(f"{'ok  ' if schedule.feasible else 'over'} {name}: "
           f"budget {target / 1024:.1f} KiB, "
           f"baseline {baseline / 1024:.1f} KiB -> "
-          f"peak {schedule.peak_bytes / 1024:.1f} KiB ({verdict}, "
+          f"peak {schedule.serial_peak / 1024:.1f} KiB ({verdict}, "
           f"{schedule.num_recomputes} recomputes over "
           f"{len(schedule.evicted)} evicted ops, "
           f"+{schedule.recompute_flops} FLOPs)")

@@ -1,10 +1,13 @@
-"""Static effect system and plan-level race detection.
+"""Static effect system: which graph ops touch shared state.
 
-The wavefront executor (see DESIGN.md, "Parallel execution") needs to know
-which ops of a plan may run concurrently.  Until this module existed the
-session answered with a whole-plan guess: one variable-store writer, one
-training batch norm or one undeclared ``PyCall`` forced the *entire* plan
-serial.  The effect system replaces the guess with an analysis:
+Two analyses need to know which ops of a plan touch shared state:
+
+* the rematerialization pass (:mod:`repro.analysis.remat`) may only
+  re-execute an op whose result depends on its inputs alone;
+* the order-dependence check (:func:`analyze_plan`) reports op pairs whose
+  relative order the graph does not state.
+
+The effect system supplies both:
 
 * every builtin graph op type has a registered **effect signature** —
   :data:`PURE` (a function of its inputs only), ``reads-state(key)`` /
@@ -13,17 +16,15 @@ serial.  The effect system replaces the guess with an analysis:
   :data:`RNG_KEY`), or ``ordered-event`` (:data:`ORDERED_EVENTS_KEY`);
 * tool-inserted ``PyCall`` ops carry explicit declarations
   (``Tool.effects`` → the ``effects`` tag the graph driver attaches); an
-  undeclared ``PyCall`` is **opaque** and keeps the conservative whole-plan
-  serial fallback;
+  undeclared ``PyCall`` is **opaque**;
 * :func:`analyze_plan` enumerates the *conflicting pairs* — two ops with no
   dependency path between them where one writes a state key the other reads
-  or writes — and emits serialization edges (earlier plan position → later)
-  that the session injects into :func:`repro.graph.core.plan_levels`.
-
-Ordering conflicting pairs by plan position reproduces the serial executor's
-per-key access sequence exactly, so a wavefront run with injected edges is
-bit-identical to a serial run; everything not involved in a conflict keeps
-its parallelism.
+  or writes.  The serial executor runs such a pair in plan order, so a run
+  is deterministic, but that order is a tie-break of the topological sort:
+  a rewrite that reorders the plan can change what each op observes.  The
+  report carries, per pair, the edge (plan-earlier → plan-later) that would
+  make the order explicit; :func:`repro.graph.core.plan_levels` accepts
+  these edges as ``extra_deps``.
 
 Completeness is enforced like the op-schema registry:
 :func:`missing_effect_signatures` diffs the effect table against
@@ -67,8 +68,7 @@ class EffectSig:
 
     ``reads``/``writes`` are variable-store keys (plus the synthetic
     :data:`RNG_KEY` / :data:`ORDERED_EVENTS_KEY`).  ``opaque`` marks an op
-    whose effects are unknown — the analysis cannot bound it, so its plan
-    falls back to the serial executor.
+    whose effects are unknown, which no analysis can bound.
     """
 
     reads: frozenset = frozenset()
@@ -209,7 +209,7 @@ def _pycall_rule(op: Operation) -> EffectSig:
     if declaration is not None:
         return normalize_effects(declaration)
     if op.tags.get("parallel_safe"):
-        # legacy observe-only tag from the graph driver: no declared state
+        # observe-only tag from the graph driver: no declared state
         return PURE
     return OPAQUE
 
@@ -287,7 +287,7 @@ def check_effects_complete() -> None:
 
 
 # ---------------------------------------------------------------------------
-# plan-level race detection
+# plan-level order-dependence (race) detection
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -296,19 +296,10 @@ class Conflict:
 
     kind: str                 # "write-write" | "read-write"
     keys: tuple[str, ...]     # the contested state keys
-    first: str                # plan-earlier op name (runs first when ordered)
+    first: str                # plan-earlier op name (runs first)
     first_type: str
-    second: str               # plan-later op name (serialized after `first`)
+    second: str               # plan-later op name
     second_type: str
-
-    def describe(self, op_name: str) -> str:
-        """Per-op serialization reason, as listed by the session report."""
-        keys = ", ".join(repr(k) for k in self.keys)
-        if op_name == self.second:
-            return (f"serialized after {self.first!r}: {self.kind} "
-                    f"conflict on state key(s) {keys}")
-        return (f"ordered before {self.second!r}: {self.kind} "
-                f"conflict on state key(s) {keys}")
 
     def __str__(self) -> str:
         keys = ", ".join(repr(k) for k in self.keys)
@@ -322,8 +313,9 @@ class RaceReport:
 
     Mirrors the verifier's report shape: ``ok`` plus per-finding provenance.
     ``extra_edges`` maps each conflict's plan-later op to the plan-earlier
-    ops it must wait for — exactly the serialization edges
-    :func:`repro.graph.core.plan_levels` accepts as ``extra_deps``.
+    ops it follows — the edges that would state the plan's order in the
+    graph, in the form :func:`repro.graph.core.plan_levels` accepts as
+    ``extra_deps``.
     """
 
     num_ops: int
@@ -340,8 +332,12 @@ class RaceReport:
 
     @property
     def serial_only_reason(self) -> str | None:
-        """Why the whole plan must stay serial, or None (conflicts alone
-        never force serial — they are resolved by injected edges)."""
+        """Why no reordering of the plan can be shown safe, or None.
+
+        An opaque op has unbounded effects, so only plan order is known to
+        be correct.  Conflicts alone never set this: their extra edges bound
+        them.
+        """
         if self.opaque_ops:
             return self.opaque_ops[0][2]
         return None
@@ -363,11 +359,10 @@ def analyze_plan(plan: Sequence[Operation]) -> RaceReport:
     """Detect state races between unordered op pairs of a topological plan.
 
     Two ops conflict when no dependency path (data or control) connects them
-    and one writes a state key the other reads or writes.  For every
-    conflicting pair the report carries a serialization edge from the
-    plan-earlier op to the plan-later op: ordering by plan position
-    reproduces the serial executor's per-key access sequence, so executing
-    with the edges injected is bit-identical to a serial run.
+    and one writes a state key the other reads or writes.  The serial
+    executor runs them in plan order; for every conflicting pair the report
+    carries the edge from the plan-earlier op to the plan-later op that
+    would pin that order in the graph.
     """
     readers: dict[str, list[int]] = {}
     writers: dict[str, list[int]] = {}

@@ -26,10 +26,9 @@ and flags compositions that are legal individually but wrong together:
   is the established cache-safe idiom (see ``cache-unsafe-context``);
 * ``effect-conflict`` — two tools acting on the same operator declare
   effects (``Tool.effects``) that race: one writes a state key the other
-  reads or writes.  The composition still runs (the race analysis
-  serializes the conflicting PyCalls pairwise), but the tools observe each
-  other's state mutations in plan order — usually a sign the composition
-  was not designed together.
+  reads or writes.  The composition still runs, its PyCalls in plan order,
+  but each tool observes the other's state mutations in that order —
+  usually a sign the composition was not designed together.
 
 Lints are warnings, not errors — :func:`lint_contexts` returns the issue list
 and never raises.
@@ -190,8 +189,8 @@ def lint_contexts(contexts: Iterable[OpContext],
                     issues.append(LintIssue(
                         "effect-conflict", name, op_type,
                         f"tools declare racing effects on state key(s) "
-                        f"{keys}; their PyCalls will be serialized in plan "
-                        "order and each observes the other's mutations",
+                        f"{keys}; their PyCalls run in plan order and each "
+                        "observes the other's mutations",
                         (first, second)))
 
         if cache_enabled and context.has_user_state and actions:

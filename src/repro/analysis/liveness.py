@@ -9,24 +9,16 @@ the schema shape inference (:mod:`repro.analysis.verify`), so the whole
 estimate needs no kernel execution — checkmate-style static dataflow analysis
 over the DNN graph.
 
-Two schedule modes mirror the session's two executors:
+Two schedule modes:
 
 * ``schedule_mode="serial"`` (default) frees each intermediate right after
-  its last consuming *op* — the classic estimate;
-* ``schedule_mode="wavefront"`` partitions the plan with
-  :func:`repro.graph.core.plan_levels` — including the serialization edges
-  the race analysis (:mod:`repro.analysis.effects`) injects between
-  effect-conflicting op pairs, mirroring ``CompiledPlan`` — and frees each
-  intermediate after its last consuming *level*, which is exactly what the
-  parallel executor does at its level barriers — so the wavefront estimate
-  is a sound upper bound on the parallel runtime's activation peak.
-
-A third mode, ``schedule_mode="remat"``, runs the static rematerialization
-planner (:mod:`repro.analysis.remat`) against ``budget`` and reports the
-*budgeted* schedule: the instance order (recomputes repeated), its simulated
-peak, and the :class:`~repro.analysis.remat.RematSchedule` itself on
-``report.remat``.  With ``budget=0`` it reports the planner's floor — the
-smallest peak maximal eviction can reach.
+  its last consuming op — the classic estimate;
+* ``schedule_mode="remat"`` runs the static rematerialization planner
+  (:mod:`repro.analysis.remat`) against ``budget`` and reports the
+  *budgeted* schedule: the instance order (recomputes repeated), its
+  simulated peak, and the :class:`~repro.analysis.remat.RematSchedule`
+  itself on ``report.remat``.  With ``budget=0`` it reports the planner's
+  floor — the smallest peak maximal eviction can reach.
 
 The result is directly comparable to the *dynamic* activation-liveness peak
 measured by :class:`repro.tools.memory.MemoryProfilingTool` (same
@@ -39,9 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ..graph.core import (SKIP_TYPES, Graph, GraphTensor, Operation,
-                          plan_levels, topo_plan)
-from .effects import analyze_plan
+from ..graph.core import SKIP_TYPES, Graph, GraphTensor, Operation, topo_plan
 from .schemas import numel
 from .verify import GraphVerifier
 
@@ -67,13 +57,6 @@ class LivenessReport:
     peak_op: str | None = None
     #: ops whose output shapes could not be inferred (counted as 0 bytes)
     unknown_ops: list[str] = field(default_factory=list)
-    #: static arena simulation (idealized full-reuse bound): the pool
-    #: capacity a size-bucketed arena would grow to over one run if every
-    #: counted tensor were pooled and freed at its computed last use —
-    #: steady-state runs then perform zero growths against this capacity
-    arena_capacity_bytes: int = 0
-    arena_growths: int = 0
-    arena_reuses: int = 0
     #: remat mode only: the budget the planner targeted and the resulting
     #: :class:`repro.analysis.remat.RematSchedule` (None in other modes)
     budget: int = 0
@@ -122,21 +105,15 @@ def estimate_liveness(graph: Graph, fetches=None,
     pass ``exclude_types=()`` to count everything.  Ops with uninferrable
     shapes contribute 0 bytes and are listed in ``unknown_ops``.
 
-    ``schedule_mode="wavefront"`` models the parallel executor instead: frees
-    happen at level barriers (after an intermediate's last consuming *level*),
-    so the reported peak upper-bounds what ``Session`` can reach with any
-    worker count.
-
     ``schedule_mode="remat"`` simulates the memory-budgeted executor: the
     rematerialization planner schedules evictions and recomputes against
     ``budget`` (bytes, using this report's own byte accounting), the
     instance order lands in ``report.schedule`` (recomputed ops repeat) and
-    the schedule itself in ``report.remat``.  The arena simulation is
-    skipped in this mode (lifetimes are per instance, not per op).
+    the schedule itself in ``report.remat``.
     """
-    if schedule_mode not in ("serial", "wavefront", "remat"):
+    if schedule_mode not in ("serial", "remat"):
         raise ValueError(f"unknown schedule_mode {schedule_mode!r}; "
-                         "expected 'serial', 'wavefront' or 'remat'")
+                         "expected 'serial' or 'remat'")
     verifier = GraphVerifier(graph, feed_shapes=feed_shapes)
     verifier.run()
     shapes = verifier.report.shapes
@@ -175,10 +152,6 @@ def estimate_liveness(graph: Graph, fetches=None,
     if schedule_mode == "remat":
         _sweep_remat(report, plan, fetched, budget)
         return report
-    if schedule_mode == "wavefront":
-        _sweep_wavefront(report, plan, position, fetched)
-        _simulate_arena(report, plan, shapes, dtype_bytes)
-        return report
 
     last: dict[str, int] = {}
     for op in plan:
@@ -205,50 +178,7 @@ def estimate_liveness(graph: Graph, fetches=None,
             report.peak_op = op.name
         for name in frees.get(step, ()):
             live -= report.output_bytes[name]
-    _simulate_arena(report, plan, shapes, dtype_bytes)
     return report
-
-
-def _simulate_arena(report: LivenessReport, plan: list[Operation],
-                    shapes, dtype_bytes: int) -> None:
-    """Replay the schedule against a simulated size-bucketed buffer arena.
-
-    Mirrors :class:`repro.eager.alloc.Arena`: each counted tensor acquires a
-    power-of-two bucket at its producer's step and returns it right after
-    the op's computed last use (``report.lifetime``).  The resulting
-    ``arena_capacity_bytes`` is the static capacity bound the runtime pool
-    converges to — an *idealized* bound, since the executor only pools
-    elementwise float64 outputs — and a steady-state run against a pool of
-    this capacity performs zero fresh growths.
-    """
-    free: dict[int, int] = {}  # bucket numel -> available buffers
-    frees_at: dict[int, list[str]] = {}
-    by_name: dict[str, Operation] = {op.name: op for op in plan}
-    for name, (_, end) in report.lifetime.items():
-        frees_at.setdefault(end, []).append(name)
-
-    def buckets_of(op: Operation) -> list[int]:
-        if not report.output_bytes.get(op.name):
-            return []  # excluded, unknown-shape, or zero-byte op
-        out = []
-        for tensor in op.outputs:
-            count = numel(shapes.get(tensor.name))
-            if count:
-                out.append(1 << max(0, count - 1).bit_length()
-                           if count > 1 else 1)
-        return out
-
-    for step, op in enumerate(plan):
-        for bucket in buckets_of(op):
-            if free.get(bucket, 0) > 0:
-                free[bucket] -= 1
-                report.arena_reuses += 1
-            else:
-                report.arena_growths += 1
-                report.arena_capacity_bytes += bucket * dtype_bytes
-        for name in frees_at.get(step, ()):
-            for bucket in buckets_of(by_name[name]):
-                free[bucket] = free.get(bucket, 0) + 1
 
 
 def _sweep_remat(report: LivenessReport, plan: list[Operation],
@@ -256,14 +186,12 @@ def _sweep_remat(report: LivenessReport, plan: list[Operation],
     """Budgeted sweep: replay the rematerialization planner's schedule.
 
     The planner consumes this report's own per-op byte accounting (so the
-    include/exclude knobs apply), plus the race analysis' serialization
-    edges — the same inputs ``CompiledPlan`` hands it at lowering time.
+    include/exclude knobs apply).
     ``lifetime`` maps each op to (first birth, last release) across all of
     its incarnations.
     """
     from .remat import plan_remat  # local: liveness is imported by remat CLI
-    schedule = plan_remat(plan, sorted(fetched), budget, report.output_bytes,
-                          extra_deps=analyze_plan(plan).extra_edges)
+    schedule = plan_remat(plan, sorted(fetched), budget, report.output_bytes)
     report.budget = budget
     report.remat = schedule
     report.schedule = [plan[j].name for j in schedule.instances]
@@ -291,44 +219,3 @@ def _sweep_remat(report: LivenessReport, plan: list[Operation],
             ends[name] = len(schedule.instances) - 1
     for op in plan:
         report.lifetime[op.name] = (births[op.name], ends[op.name])
-
-
-def _sweep_wavefront(report: LivenessReport, plan: list[Operation],
-                     position: dict[str, int], fetched: set[str]) -> None:
-    """Level-barrier sweep: frees happen after the last consuming *level*.
-
-    Matches ``Session._run_wavefront`` exactly — the levels include the race
-    analysis' serialization edges (so the static bound respects the same
-    barriers the executor honors), within a level the ops allocate one by
-    one in plan order (the session's bookkeeping loop), then the level's
-    expired intermediates are freed at the barrier.
-    """
-    levels = plan_levels(plan, extra_deps=analyze_plan(plan).extra_edges)
-    level_of = {op.name: i for i, level in enumerate(levels) for op in level}
-    last_level: dict[str, int] = {}
-    for op in plan:
-        last_level[op.name] = len(levels) - 1 if op.name in fetched \
-            else level_of[op.name]
-    for op in plan:
-        for edge in op.inputs:
-            if edge.op.name in last_level:
-                last_level[edge.op.name] = max(last_level[edge.op.name],
-                                               level_of[op.name])
-    # lifetimes in plan positions: freed after the last op of the free level
-    level_end = [position[level[-1].name] for level in levels]
-    for op in plan:
-        report.lifetime[op.name] = (position[op.name],
-                                    level_end[last_level[op.name]])
-    frees: dict[int, list[str]] = {}
-    for name, end_level in last_level.items():
-        frees.setdefault(end_level, []).append(name)
-    live = 0
-    for index, level in enumerate(levels):
-        for op in level:
-            live += report.output_bytes[op.name]
-            if live > report.peak_bytes:
-                report.peak_bytes = live
-                report.peak_step = position[op.name]
-                report.peak_op = op.name
-        for name in frees.get(index, ()):
-            live -= report.output_bytes[name]

@@ -2,10 +2,10 @@
 
 The paper's capability matrix (Tbl. 1, DTR row) treats rematerialization as
 an instrumentation workload; this module turns the repo's static
-infrastructure — per-op byte costs from :mod:`repro.analysis.liveness`'s
-shape inference, topo plans from :func:`repro.graph.core.topo_plan`, effect
-signatures from :mod:`repro.analysis.effects` — into something the executor
-can *run*: a compile-time keep-vs-recompute schedule for a memory budget
+infrastructure — per-op byte costs from the verifier's shape inference,
+topo plans from :func:`repro.graph.core.topo_plan`, effect signatures from
+:mod:`repro.analysis.effects` — into something the executor can *run*: a
+compile-time keep-vs-recompute schedule for a memory budget
 (``amanda.config.memory_budget``, env ``AMANDA_MEMORY_BUDGET``).
 
 The planner is checkmate-flavoured static scheduling seeded with Chen's
@@ -35,17 +35,15 @@ ancestor closure (ascending base order, which is valid because the base plan
 is topological).  Releases are then derived **post hoc** from the finished
 instance schedule — each incarnation is freed right after its last actual
 reader — so pinned ancestors needed by a recompute automatically live long
-enough, and the serial/wavefront simulations mirror the executors'
-accounting exactly (see ``Session._run_serial`` / ``_run_wavefront``).
+enough, and the simulated peak (``serial_peak``, the planner's objective)
+mirrors the executor's accounting exactly (see ``Session._execute``).
 
 The resulting :class:`RematSchedule` lowers directly onto the slot table:
 ``instances`` duplicates plan positions (a recompute is an extra slot-table
-entry republishing the same slots), ``release_after_step`` drives the serial
-executor's per-step frees, and ``levels``/``release_levels`` are wavefront
-levels over the *instance* DAG — including write-after-read serialization
-edges that keep a recompute instance behind every reader of the incarnation
-it replaces, the same ``plan_levels``-style edge injection the race detector
-uses.
+entry republishing the same slots) and ``release_after_step`` drives the
+executor's per-step frees.  The schedule's releases follow data reads only:
+they do not model a ``PyCall``/``Identity`` alias or a captured forward op's
+``OpCtx`` stash, which the unbudgeted executor keeps counted.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..graph.core import SKIP_TYPES, Graph, GraphTensor, Operation, topo_plan
-from .effects import analyze_plan, recomputable
+from .effects import recomputable
 from .schemas import numel
 from .verify import GraphVerifier
 
@@ -162,37 +160,27 @@ class RematSchedule:
     is_recompute: list[bool] = field(default_factory=list)
     #: per instance step -> instance ids whose slots free after that step
     release_after_step: list[tuple[int, ...]] = field(default_factory=list)
-    #: wavefront levels over the instance DAG (instance ids per level)
-    levels: list[tuple[int, ...]] = field(default_factory=list)
-    #: per level -> instance ids released at that level's barrier
-    release_levels: list[tuple[int, ...]] = field(default_factory=list)
     #: names of ops evicted (and re-executed) at least once
     evicted: tuple[str, ...] = ()
     recompute_flops: int = 0
-    #: bytes a serial run would hold with *no* frees (reference semantics)
+    #: bytes a run would hold with *no* frees
     serial_unreleased_bytes: int = 0
-    #: liveness bounds of the unbudgeted plan (free at last use / at barrier)
+    #: liveness bound of the unbudgeted plan (every value freed at last use)
     baseline_serial_peak: int = 0
-    baseline_wavefront_peak: int = 0
-    #: simulated peaks of this schedule under the two executors
+    #: simulated peak of this schedule
     serial_peak: int = 0
-    wavefront_peak: int = 0
     feasible: bool = True
 
     @property
     def num_recomputes(self) -> int:
         return sum(1 for flag in self.is_recompute if flag)
 
-    @property
-    def peak_bytes(self) -> int:
-        return max(self.serial_peak, self.wavefront_peak)
-
     def __str__(self) -> str:
         verdict = "fits" if self.feasible else "EXCEEDS"
         return (f"RematSchedule({len(self.instances)} instances, "
                 f"{self.num_recomputes} recomputes over "
                 f"{len(self.evicted)} evicted ops, "
-                f"peak {self.peak_bytes}B {verdict} budget {self.budget}B, "
+                f"peak {self.serial_peak}B {verdict} budget {self.budget}B, "
                 f"+{self.recompute_flops} FLOPs)")
 
 
@@ -201,19 +189,15 @@ class RematSchedule:
 # ---------------------------------------------------------------------------
 
 def _materialize(n: int, data_inputs: list[tuple[int, ...]],
-                 readers: list[list[int]], evicted: set[int],
-                 window: int) -> tuple[list[int], list[int]]:
+                 evicted: set[int], window: int) -> list[int]:
     """Replay the base plan with ``evicted`` values dropped between reads.
 
     ``window`` is the read-locality window in base steps: an evicted value
     whose next read is farther than ``window`` past its last read dies and
     is recomputed (with its dead ancestor closure) right before that read.
-    Returns the instance list (base positions, recomputes repeated) plus the
-    base step each instance was emitted at — recompute closures share their
-    consumer's step, which is how the lowering ties them to their trigger.
+    Returns the instance list (base positions, recomputes repeated).
     """
     instances: list[int] = []
-    emit_steps: list[int] = []
     cur: list[int | None] = [None] * n          # live incarnation per op
     last_read = [0] * n                         # base step of the last read
     deaths: dict[int, list[int]] = {}           # base step -> ops to check
@@ -226,7 +210,6 @@ def _materialize(n: int, data_inputs: list[tuple[int, ...]],
 
     def _emit(op: int, step: int) -> None:
         instances.append(op)
-        emit_steps.append(step)
         cur[op] = len(instances) - 1
         last_read[op] = step
         if op in evicted:
@@ -268,57 +251,24 @@ def _materialize(n: int, data_inputs: list[tuple[int, ...]],
                 cur[op] = None  # no nearby future read: drop the value
             else:
                 _register_death(op, due)  # refreshed since: re-arm
-    return instances, emit_steps
+    return instances
 
 
-def _lower(instances: list[int], emit_steps: list[int], n: int,
-           ops: Sequence[Operation],
-           data_inputs: list[tuple[int, ...]],
-           order_inputs: list[tuple[int, ...]],
-           bytes_of: list[int], fetched: set[int],
-           budget: int) -> RematSchedule:
-    """Derive releases, wavefront levels and simulated peaks post hoc."""
+def _lower(instances: list[int], n: int, ops: Sequence[Operation],
+           data_inputs: list[tuple[int, ...]], bytes_of: list[int],
+           fetched: set[int], budget: int) -> RematSchedule:
+    """Derive releases and the simulated peak post hoc."""
     m = len(instances)
     cur: list[int | None] = [None] * n
-    reads: list[list[int]] = [[] for _ in range(m)]       # value deps
-    orders: list[list[int]] = [[] for _ in range(m)]      # ordering-only deps
-    readers_of: list[list[int]] = [[] for _ in range(m)]
-    prev_inst: list[int | None] = [None] * m
     last_reader = list(range(m))
-    # the last instance emitted at a base step is that step's original op;
-    # everything before it at the same step is its recompute closure
-    consumer_at = {step: t for t, step in enumerate(emit_steps)}
     for t, j in enumerate(instances):
-        step = emit_steps[t]
-        if t != consumer_at[step]:
-            # trigger edges: a recompute instance additionally waits for
-            # everything *else* its consumer needs, so the wavefront
-            # executor recomputes as late as the serial one does instead of
-            # as soon as the checkpoints allow (which would keep the
-            # republished value live across the whole gap again)
-            trigger = instances[consumer_at[step]]
-            for dep in data_inputs[trigger]:
-                u = cur[dep]
-                if u is not None and emit_steps[u] != step:
-                    orders[t].append(u)
-            for dep in order_inputs[trigger]:
-                u = cur[dep]
-                if u is not None and emit_steps[u] != step:
-                    orders[t].append(u)
         for dep in data_inputs[j]:
             u = cur[dep]
             assert u is not None, "materialized schedule broke liveness"
-            reads[t].append(u)
-            readers_of[u].append(t)
             last_reader[u] = t
-        for dep in order_inputs[j]:
-            u = cur[dep]
-            if u is not None:
-                orders[t].append(u)
-        prev_inst[t] = cur[j]
         cur[j] = t
 
-    # -- serial lowering: free each incarnation after its last reader --------
+    # free each incarnation after its last reader
     release_after_step: list[list[int]] = [[] for _ in range(m)]
     for t, j in enumerate(instances):
         if j not in fetched:
@@ -331,50 +281,6 @@ def _lower(instances: list[int], emit_steps: list[int], n: int,
         for u in release_after_step[t]:
             live -= bytes_of[instances[u]]
 
-    # -- wavefront lowering: levels over the instance DAG -------------------
-    # a recompute instance additionally waits for the incarnation it replaces
-    # and for all of that incarnation's readers (write-after-read edges), so
-    # the barrier that releases the old value strictly precedes the barrier
-    # publishing the new one
-    depth = [0] * m
-    for t in range(m):
-        d = 0
-        for u in reads[t]:
-            if depth[u] >= d:
-                d = depth[u] + 1
-        for u in orders[t]:
-            if depth[u] >= d:
-                d = depth[u] + 1
-        old = prev_inst[t]
-        if old is not None:
-            if depth[old] >= d:
-                d = depth[old] + 1
-            for r in readers_of[old]:
-                if depth[r] >= d:
-                    d = depth[r] + 1
-        depth[t] = d
-    num_levels = (max(depth) + 1) if m else 0
-    level_lists: list[list[int]] = [[] for _ in range(num_levels)]
-    for t in range(m):
-        level_lists[depth[t]].append(t)
-    release_level_lists: list[list[int]] = [[] for _ in range(num_levels)]
-    for t, j in enumerate(instances):
-        if j in fetched:
-            continue
-        last = depth[t]
-        for r in readers_of[t]:
-            if depth[r] > last:
-                last = depth[r]
-        release_level_lists[last].append(t)
-    wavefront_peak = live = 0
-    for index, level in enumerate(level_lists):
-        for t in level:
-            live += bytes_of[instances[t]]
-            if live > wavefront_peak:
-                wavefront_peak = live
-        for t in release_level_lists[index]:
-            live -= bytes_of[instances[t]]
-
     seen: set[int] = set()
     is_recompute = []
     for j in instances:
@@ -385,13 +291,10 @@ def _lower(instances: list[int], emit_steps: list[int], n: int,
         instances=instances,
         is_recompute=is_recompute,
         release_after_step=[tuple(step) for step in release_after_step],
-        levels=[tuple(level) for level in level_lists],
-        release_levels=[tuple(level) for level in release_level_lists],
         evicted=tuple(sorted({ops[j].name
                               for t, j in enumerate(instances)
                               if is_recompute[t]})),
         serial_peak=serial_peak,
-        wavefront_peak=wavefront_peak,
     )
 
 
@@ -401,18 +304,13 @@ def _lower(instances: list[int], emit_steps: list[int], n: int,
 
 def plan_remat(plan: Sequence[Operation], fetch_ops: Sequence[str],
                budget: int, bytes_of: Mapping[str, int],
-               flops_of: Mapping[str, int] | None = None,
-               extra_deps: Mapping[str, Sequence[str]] | None = None,
-               ) -> RematSchedule:
+               flops_of: Mapping[str, int] | None = None) -> RematSchedule:
     """Compute a budgeted keep-vs-recompute schedule for ``plan``.
 
     ``bytes_of``/``flops_of`` map op names to output bytes and recompute
-    FLOPs (see :func:`op_costs`); ``extra_deps`` carries the race detector's
-    serialization edges so wavefront levels respect the same barriers the
-    unbudgeted plan honors.  Always returns a schedule: with a generous
-    budget it degenerates to the base plan with last-use releases (zero
-    recomputes), which is what makes the serial executor free intermediates
-    at all under a budget.
+    FLOPs (see :func:`op_costs`).  Always returns a schedule: with a
+    generous budget it degenerates to the base plan with last-use releases
+    (zero recomputes).
     """
     ops = list(plan)
     n = len(ops)
@@ -421,45 +319,29 @@ def plan_remat(plan: Sequence[Operation], fetch_ops: Sequence[str],
     b = [int(bytes_of.get(op.name, 0)) for op in ops]
     flops = [int((flops_of or {}).get(op.name, 0)) for op in ops]
     data_inputs: list[tuple[int, ...]] = []
-    order_inputs: list[tuple[int, ...]] = []
-    readers: list[list[int]] = [[] for _ in range(n)]
-    for i, op in enumerate(ops):
+    for op in ops:
         deps = []
         for edge in op.inputs:
             j = index.get(edge.op.name)
             if j is not None and j not in deps:
                 deps.append(j)
-                readers[j].append(i)
         data_inputs.append(tuple(deps))
-        orders = []
-        for dep in op.control_inputs:
-            j = index.get(dep.name)
-            if j is not None and j not in orders:
-                orders.append(j)
-        for name in (extra_deps or {}).get(op.name, ()):
-            j = index.get(name)
-            if j is not None and j not in orders:
-                orders.append(j)
-        order_inputs.append(tuple(orders))
 
-    def lower(materialized: tuple[list[int], list[int]]) -> RematSchedule:
-        instances, emit_steps = materialized
-        return _lower(instances, emit_steps, n, ops, data_inputs,
-                      order_inputs, b, fetched, budget)
+    def lower(instances: list[int]) -> RematSchedule:
+        return _lower(instances, n, ops, data_inputs, b, fetched, budget)
 
     def finish(schedule: RematSchedule,
                baseline: RematSchedule) -> RematSchedule:
         schedule.serial_unreleased_bytes = sum(b)
         schedule.baseline_serial_peak = baseline.serial_peak
-        schedule.baseline_wavefront_peak = baseline.wavefront_peak
         schedule.recompute_flops = sum(
             flops[j] for t, j in enumerate(schedule.instances)
             if schedule.is_recompute[t])
-        schedule.feasible = schedule.peak_bytes <= budget
+        schedule.feasible = schedule.serial_peak <= budget
         return schedule
 
-    baseline = lower((list(range(n)), list(range(n))))
-    if baseline.peak_bytes <= budget:
+    baseline = lower(list(range(n)))
+    if baseline.serial_peak <= budget:
         return finish(baseline, baseline)
 
     candidates = [i for i, op in enumerate(ops)
@@ -473,10 +355,9 @@ def plan_remat(plan: Sequence[Operation], fetch_ops: Sequence[str],
     evicted = set(candidates)
     best: RematSchedule | None = None
     for window in sorted({max(1, root // 2), root, 2 * root}):
-        schedule = lower(_materialize(n, data_inputs, readers, evicted,
-                                      window))
-        if best is None or (schedule.peak_bytes, len(schedule.instances)) \
-                < (best.peak_bytes, len(best.instances)):
+        schedule = lower(_materialize(n, data_inputs, evicted, window))
+        if best is None or (schedule.serial_peak, len(schedule.instances)) \
+                < (best.serial_peak, len(best.instances)):
             best, best_window = schedule, window
     assert best is not None
 
@@ -491,14 +372,14 @@ def plan_remat(plan: Sequence[Operation], fetch_ops: Sequence[str],
                     key=lambda j: flops[j] * recompute_counts[j],
                     reverse=True)[:_MAX_REFINE_TRIALS]
     current = best
-    if current.peak_bytes <= budget:
+    if current.serial_peak <= budget:
         for j in trials:
-            attempt = lower(_materialize(n, data_inputs, readers,
-                                         evicted - {j}, best_window))
-            if attempt.peak_bytes <= budget:
+            attempt = lower(_materialize(n, data_inputs, evicted - {j},
+                                         best_window))
+            if attempt.serial_peak <= budget:
                 evicted.discard(j)
                 current = attempt
-    if current.peak_bytes >= baseline.peak_bytes:
+    if current.serial_peak >= baseline.serial_peak:
         # eviction bought nothing (or made it worse — recompute instances
         # extend pinned ancestors): fall back to plain last-use releases
         return finish(baseline, baseline)
@@ -508,7 +389,7 @@ def plan_remat(plan: Sequence[Operation], fetch_ops: Sequence[str],
 def plan_remat_for_graph(graph: Graph, fetches, budget: int,
                          feed_shapes: Mapping[str, tuple] | None = None,
                          ) -> RematSchedule:
-    """Convenience wrapper: plan + costs + races from a graph and fetches."""
+    """Convenience wrapper: plan + costs from a graph and fetches."""
     roots = []
     for fetch in fetches:
         if isinstance(fetch, GraphTensor):
@@ -519,6 +400,5 @@ def plan_remat_for_graph(graph: Graph, fetches, budget: int,
             roots.append(graph.get_operation(str(fetch).partition(":")[0]))
     plan = topo_plan(roots)
     bytes_of, flops_of, _ = op_costs(plan, graph, feed_shapes=feed_shapes)
-    races = analyze_plan(plan)
     return plan_remat(plan, [op.name for op in roots], budget,
-                      bytes_of, flops_of, extra_deps=races.extra_edges)
+                      bytes_of, flops_of)

@@ -95,7 +95,7 @@ class GraphDriver(BackendDriver):
         #: runs served by the vanilla graph after a contained failure
         self.vanilla_fallbacks = 0
         #: executor stats of the most recently intercepted session run:
-        #: plan-cache occupancy and (when arena reuse is on) pool counters
+        #: plan-cache occupancy
         self.last_executor_stats: dict | None = None
 
     @property
@@ -187,7 +187,7 @@ class GraphDriver(BackendDriver):
         finally:
             if not caching:
                 self._release(entry)  # an uncached rewrite dies with its run
-            # post-run snapshot: the plan cache and arena the run produced
+            # post-run snapshot: the plan cache the run produced
             self._capture_executor_stats(session)
 
     # -- instrumented-graph cache (LRU, bounded) --------------------------------
@@ -222,10 +222,8 @@ class GraphDriver(BackendDriver):
             alloc.tracker.release(entry.charge, "amanda")
 
     def _capture_executor_stats(self, session: Session) -> None:
-        arena = getattr(session, "_arena", None)
         self.last_executor_stats = {
             "plan_cache_entries": len(getattr(session, "_plan_cache", ())),
-            "arena": arena.stats() if arena is not None else None,
         }
 
     # -- rewriting ---------------------------------------------------------------
@@ -243,8 +241,7 @@ class GraphDriver(BackendDriver):
                                 feed_shapes: dict | None) -> _Instrumented:
         mgr = self.manager
         # snapshot the active tools' effect declarations: every PyCall a
-        # tool's actions realize below is tagged with them, so the race
-        # analysis can scope (instead of serialize) the instrumented plan
+        # tool's actions realize below is tagged with them
         self._tool_effects = {
             tool.name: tool.effects for tool in mgr.tools
             if getattr(tool, "effects", None) is not None}
@@ -302,8 +299,8 @@ class GraphDriver(BackendDriver):
             plans.append(plan)
             plan_by_context[id(context)] = plan
             # observe-only plans (forward inserts, no replace/backward/state)
-            # are order-independent, so their PyCall nodes are tagged
-            # parallel_safe and the session may still run them wavefronted
+            # compute nothing the model reads back, so their PyCall nodes are
+            # tagged parallel_safe, which the effect system reads as pure
             self._realize_forward(rewriter, op, plan.forward, redirects,
                                   observe_only=plan.kind is
                                   PlanKind.OBSERVE_ONLY)
@@ -400,12 +397,12 @@ class GraphDriver(BackendDriver):
     # come from repro.core.plans — only the edit geometry lives here.
 
     _TAGS = {"alloc_scope": "tool"}
-    #: observe-only callbacks may run from wavefront worker threads
+    #: observe-only callbacks declare no state (effect signature: pure)
     _SAFE_TAGS = {"alloc_scope": "tool", "parallel_safe": True}
 
     def _step_tags(self, tool: str | None, observe_only: bool = False) -> dict:
         """Tags for one realized PyCall: base tags + the tool's declared
-        effects (when it declared any), so the race analysis sees the
+        effects (when it declared any), so the effect system sees the
         callback's state footprint instead of treating it as opaque."""
         base = self._SAFE_TAGS if observe_only else self._TAGS
         declared = self._tool_effects.get(tool)

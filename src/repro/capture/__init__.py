@@ -2,8 +2,8 @@
 
 The reproduction has two frontends — define-by-run eager modules and the
 define-then-run graph backend — but only the graph backend owns the compiled
-execution stack (plan caching, static verification, effect-based race
-analysis, fusion, wavefront parallelism, slot-table arenas).  This package
+execution stack (plan caching, static verification, fusion, the slot-table
+executor).  This package
 unifies them: :func:`capture` traces an eager module into the graph IR and
 executes subsequent calls through a :class:`~repro.graph.session.Session`,
 guarded by input shapes/dtypes and train/eval mode, with transparent

@@ -2,9 +2,9 @@
 
 :func:`capture` wraps an eager :class:`~repro.eager.module.Module` so that
 calls execute through a :class:`~repro.graph.session.Session` — inheriting
-the whole compiled-executor stack (plan cache, static verifier, effect-based
-race analysis, fusion, wavefront scheduling, slot table, arena reuse) while
-staying bit-identical to plain eager dispatch.
+the whole compiled-executor stack (plan cache, static verifier, fusion, slot
+table, release at last use) while staying bit-identical to plain eager
+dispatch.
 
 The mechanism is concrete tracing with **guard buckets**:
 
@@ -101,11 +101,6 @@ def _fuse_captured(key: tuple, graph: Graph,
     if not report:
         graph.guard_token = key
         return graph, fetches, report
-    for name in report:
-        # a pinned consumer may stash the fused output by reference in its
-        # backward OpCtx; keep fused outputs out of the arena pool so the
-        # stash outlives any buffer recycling
-        fused.get_operation(name).tags["no_pool"] = True
     fused.guard_token = key
     remapped = [fused.get_operation(t.op.name).outputs[t.index]
                 for t in fetches]

@@ -17,11 +17,17 @@ updated atomically — ``builder.COMPUTE``, ``GRAPH_SCHEMAS`` and
 ``GRAPH_EFFECTS`` — which keeps ``check_registry_complete()`` and
 ``check_effects_complete()`` consistent whether or not this module was ever
 imported.
+
+Each captured forward op hands its ``OpCtx`` to its backward ops through the
+run's stash table (``_Runtime.stash``).  The compiled plan decides the
+stash's lifetime: a forward op stashes only when a backward op of the plan
+reads it, and the plan's last such reader removes the entry.  The executor
+keeps the forward op's inputs and outputs counted as live until then, since
+the ``OpCtx`` may hold them (see :mod:`repro.graph.session`).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 import numpy as np
@@ -40,25 +46,6 @@ __all__ = ["CAPTURABLE", "ensure_registered"]
 CAPTURABLE: set[str] = set()
 
 _RNG = EffectSig(reads=frozenset((RNG_KEY,)), writes=frozenset((RNG_KEY,)))
-
-#: per-run side table carrying each captured forward op's ``OpCtx`` to its
-#: backward ops; stored as an attribute on the session's ``_Runtime`` so the
-#: table's lifetime is exactly one ``Session.run``
-_CTX_TABLE_ATTR = "_capture_op_ctxs"
-_ctx_lock = threading.Lock()
-
-
-def _ctx_table(runtime) -> dict:
-    table = getattr(runtime, _CTX_TABLE_ATTR, None)
-    if table is None:
-        # wavefront workers may race the first stash of a run; the lock makes
-        # table creation a once-only event (stashes themselves are per-key)
-        with _ctx_lock:
-            table = getattr(runtime, _CTX_TABLE_ATTR, None)
-            if table is None:
-                table = {}
-                setattr(runtime, _CTX_TABLE_ATTR, table)
-    return table
 
 
 def _coerce(value) -> np.ndarray:
@@ -79,7 +66,8 @@ def _forward_compute(opdef: OpDef) -> Callable:
     def compute(op, inputs, runtime):
         ctx = OpCtx()
         raw = opdef.forward(ctx, *inputs, **op.attrs)
-        _ctx_table(runtime)[op.name] = ctx
+        if op.name in runtime.stashers:
+            runtime.stash[op.name] = ctx
         raw_outputs = raw if isinstance(raw, tuple) else (raw,)
         return tuple(_coerce(o) for o in raw_outputs)
 
@@ -89,11 +77,14 @@ def _forward_compute(opdef: OpDef) -> Callable:
 
 def _backward_compute(opdef: OpDef, bdef: BackwardDef) -> Callable:
     def compute(op, inputs, runtime):
-        ctx = _ctx_table(runtime).get(op.attrs["forward_name"])
+        forward = op.attrs["forward_name"]
+        ctx = runtime.stash.get(forward)
         if ctx is None:
             raise RuntimeError(
                 f"captured backward op {op.name!r} ran before its forward "
-                f"op {op.attrs['forward_name']!r} stashed a context")
+                f"op {forward!r} stashed a context")
+        if op.name in runtime.stash_drops:
+            del runtime.stash[forward]  # the plan's last reader of the stash
         # the autograd engine hands backward defs raw ndarrays (grads are
         # never Tensor-wrapped), so no float coercion here
         partial = bdef.fn(ctx, tuple(np.asarray(g) for g in inputs))

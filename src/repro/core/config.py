@@ -7,25 +7,6 @@ code, and exposes a scoped context manager for tests and per-run overrides.
 
 Current knobs:
 
-* ``num_workers`` (env ``AMANDA_NUM_WORKERS``, default ``1`` = serial) — how
-  many threads the graph-backend :class:`~repro.graph.session.Session` may
-  use for wavefront-parallel plan execution.  ``"auto"`` resolves to the
-  host's CPU count.  Values ``<= 1`` keep the classic serial executor.  The
-  executor falls back to serial regardless of this knob whenever the plan is
-  not provably parallel-safe (see DESIGN.md, "Parallel execution").
-* ``effect_analysis`` (env ``AMANDA_EFFECT_ANALYSIS``, default on) — decide
-  parallel eligibility with the static effect system / race detector
-  (:mod:`repro.analysis.effects`), serializing only the conflicting op
-  pairs.  Off restores the legacy all-or-nothing classification (any store
-  writer, training batch norm or non-``parallel_safe`` PyCall forces the
-  whole plan serial) — an escape hatch and the A/B benchmarking baseline.
-* ``arena_reuse`` (env ``AMANDA_ARENA``, default off) — recycle executor
-  intermediates through a size-bucketed buffer arena
-  (:class:`repro.eager.alloc.Arena`): each buffer is released at its
-  statically-computed last use and reused by later ops, so steady-state
-  runs stop churning fresh numpy arrays.  Results are bit-identical;
-  tools that *retain* raw references to intermediate arrays across run
-  boundaries should copy them while the arena is on.
 * ``plan_cache_size`` (env ``AMANDA_PLAN_CACHE_SIZE``, default 64) — LRU
   bound on the per-session compiled-plan cache.  Long-lived sessions that
   cycle through many distinct fetch sets evict the least recently used
@@ -58,8 +39,8 @@ Current knobs:
   (:mod:`repro.analysis.remat`): when the liveness bound exceeds the budget,
   effect-pure intermediates are evicted at their scheduled last use and
   recomputed before later consumers, trading FLOPs for peak memory.  ``0``
-  disables budgeting entirely (no remat lowering, no per-step releases in
-  the serial executor without the arena).
+  disables budgeting (the executor still frees every intermediate at its
+  last use).
 """
 
 from __future__ import annotations
@@ -67,13 +48,12 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
-__all__ = ["Config", "config", "num_workers", "effect_analysis",
-           "arena_reuse", "plan_cache_size", "capture_enabled",
+__all__ = ["Config", "config", "plan_cache_size", "capture_enabled",
            "serve_workers", "sample_rate", "serve_batch", "memory_budget"]
 
 
-def _parse_workers(value: str | int | None, default: int = 1) -> int:
-    """Parse a worker-count setting; invalid or missing values mean serial."""
+def _parse_workers(value: str | int | None, default: int) -> int:
+    """Parse a worker-count setting; invalid or missing keeps the default."""
     if value is None:
         return default
     if isinstance(value, str):
@@ -155,11 +135,6 @@ class Config:
 
     def refresh_from_env(self) -> None:
         """Re-read every knob from its environment variable."""
-        self.num_workers = _parse_workers(os.environ.get("AMANDA_NUM_WORKERS"))
-        self.effect_analysis = _parse_flag(
-            os.environ.get("AMANDA_EFFECT_ANALYSIS"))
-        self.arena_reuse = _parse_flag(os.environ.get("AMANDA_ARENA"),
-                                       default=False)
         self.plan_cache_size = _parse_bound(
             os.environ.get("AMANDA_PLAN_CACHE_SIZE"), default=64)
         self.capture = _parse_flag(os.environ.get("AMANDA_CAPTURE"))
@@ -172,14 +147,8 @@ class Config:
         self.memory_budget = _parse_bytes(
             os.environ.get("AMANDA_MEMORY_BUDGET"), default=0)
 
-    def set_num_workers(self, workers: int | str) -> None:
-        self.num_workers = _parse_workers(workers)
-
     def __repr__(self) -> str:
-        return (f"Config(num_workers={self.num_workers}, "
-                f"effect_analysis={self.effect_analysis}, "
-                f"arena_reuse={self.arena_reuse}, "
-                f"plan_cache_size={self.plan_cache_size}, "
+        return (f"Config(plan_cache_size={self.plan_cache_size}, "
                 f"capture={self.capture}, "
                 f"serve_workers={self.serve_workers}, "
                 f"sample_rate={self.sample_rate}, "
@@ -189,39 +158,6 @@ class Config:
 
 #: process-global configuration instance (``amanda.config``)
 config = Config()
-
-
-@contextmanager
-def num_workers(workers: int | str):
-    """Scope-override the executor worker count (``amanda.num_workers(4)``)."""
-    previous = config.num_workers
-    config.set_num_workers(workers)
-    try:
-        yield config
-    finally:
-        config.num_workers = previous
-
-
-@contextmanager
-def effect_analysis(enabled: bool):
-    """Scope-override the effect-analysis knob (``amanda.effect_analysis``)."""
-    previous = config.effect_analysis
-    config.effect_analysis = _parse_flag(enabled)
-    try:
-        yield config
-    finally:
-        config.effect_analysis = previous
-
-
-@contextmanager
-def arena_reuse(enabled: bool):
-    """Scope-override the buffer-arena knob (``amanda.arena_reuse(True)``)."""
-    previous = config.arena_reuse
-    config.arena_reuse = _parse_flag(enabled, default=False)
-    try:
-        yield config
-    finally:
-        config.arena_reuse = previous
 
 
 @contextmanager

@@ -47,13 +47,12 @@ class Tool:
     is_context_transform = False
 
     #: static effect declaration for the ``PyCall`` ops this tool inserts
-    #: into graphs, consumed by the race analysis
+    #: into graphs, consumed by the effect system
     #: (:mod:`repro.analysis.effects`): ``None`` (undeclared — the PyCalls
-    #: are effect-opaque and force the serial executor), ``"pure"`` (the
-    #: instrumentation routines compute from their inputs only), or a
-    #: mapping with any of ``reads`` / ``writes`` (iterables of state keys),
-    #: ``rng`` / ``ordered`` (booleans).  Declared tools keep wavefront
-    #: parallelism; conflicting declarations are serialized pairwise.
+    #: are effect-opaque), ``"pure"`` (the instrumentation routines compute
+    #: from their inputs only), or a mapping with any of ``reads`` /
+    #: ``writes`` (iterables of state keys), ``rng`` / ``ordered``
+    #: (booleans).
     effects = None
 
     def __init__(self, name: str | None = None) -> None:

@@ -13,9 +13,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
-import numpy as np
-
-__all__ = ["AllocationTracker", "Arena", "tracker", "scope"]
+__all__ = ["AllocationTracker", "tracker", "scope"]
 
 
 class AllocationTracker:
@@ -81,145 +79,6 @@ class AllocationTracker:
                 "peak": dict(self.peak),
                 "total": dict(self.total_allocated),
             }
-
-
-class Arena:
-    """Size-bucketed pool of reusable float64 buffers for the graph executor.
-
-    The slot-table executor (``repro.graph.session``) returns every
-    intermediate to the arena at its statically-computed last use, so a
-    steady-state ``Session.run`` loop recycles the same buffers instead of
-    churning fresh numpy arrays (the Fig. 13 allocation-churn axis).  Buckets
-    are powers of two of the element count; an acquisition is served from the
-    bucket's free list when possible and otherwise *grows* the arena by one
-    buffer.
-
-    Ownership is reference-counted per backing buffer: publishing an op
-    output ``adopt``\\ s it (aliases — ``Identity``, views, ``PyCall``
-    pass-throughs — adopt the same backing buffer again), and each slot
-    release drops one reference; the buffer only re-enters the free list at
-    zero.  ``acquire``/``owns`` are safe to call from wavefront worker
-    threads; the bookkeeping calls (``adopt``/``release``/``take_growth_bytes``)
-    run on the submitting thread.
-
-    The arena never calls the :data:`tracker` itself (worker threads race):
-    growth bytes accumulate in ``take_growth_bytes()`` and the session
-    flushes them into the tracker at its sequential bookkeeping points.
-    Pooled capacity stays "live" in the tracker until :meth:`drain`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: bucket element count -> free backing buffers
-        self._free: dict[int, list[np.ndarray]] = {}
-        #: id(backing buffer) -> [buffer, bucket numel, refcount]
-        self._lent: dict[int, list] = {}
-        self.growths = 0  # lifetime buffer creations
-        self.reuses = 0   # lifetime acquisitions served from the pool
-        self.held_bytes = 0  # capacity currently owned (free + lent)
-        self._pending_growth = 0  # grown bytes not yet flushed to a tracker
-
-    @staticmethod
-    def _bucket(numel: int) -> int:
-        return 1 << max(0, numel - 1).bit_length() if numel > 1 else 1
-
-    @staticmethod
-    def _backing(array: np.ndarray):
-        """Chase ``.base`` to the backing buffer a view ultimately borrows."""
-        while isinstance(array, np.ndarray) and array.base is not None:
-            array = array.base
-        return array
-
-    def acquire(self, shape) -> np.ndarray | None:
-        """Lend a float64 buffer reshaped to ``shape`` (refcount zero)."""
-        numel = 1
-        for dim in shape:
-            numel *= int(dim)
-        bucket = self._bucket(numel)
-        with self._lock:
-            stack = self._free.get(bucket)
-            if stack:
-                flat = stack.pop()
-                self.reuses += 1
-            else:
-                flat = np.empty(bucket, dtype=np.float64)
-                self.growths += 1
-                self.held_bytes += flat.nbytes
-                self._pending_growth += flat.nbytes
-            self._lent[id(flat)] = [flat, bucket, 0]
-        return flat[:numel].reshape(shape)
-
-    def owns(self, array) -> bool:
-        """Whether ``array`` is (a view of) a currently-lent arena buffer."""
-        if not isinstance(array, np.ndarray):
-            return False
-        return id(self._backing(array)) in self._lent
-
-    def adopt(self, array) -> bool:
-        """Take one reference on the arena buffer backing ``array``."""
-        if not isinstance(array, np.ndarray):
-            return False
-        entry = self._lent.get(id(self._backing(array)))
-        if entry is None:
-            return False
-        with self._lock:
-            entry[2] += 1
-        return True
-
-    def release(self, array) -> bool:
-        """Drop one reference; the buffer re-enters the pool at zero."""
-        if not isinstance(array, np.ndarray):
-            return False
-        key = id(self._backing(array))
-        with self._lock:
-            entry = self._lent.get(key)
-            if entry is None:
-                return False
-            entry[2] -= 1
-            if entry[2] <= 0:
-                del self._lent[key]
-                self._free.setdefault(entry[1], []).append(entry[0])
-        return True
-
-    def reclaim_unadopted(self) -> int:
-        """Return never-published buffers to the pool (end-of-run sweep).
-
-        A compute may acquire an out-buffer and then fail (or discard it);
-        such buffers sit lent with refcount zero and would otherwise leak
-        from the pool.  Only call this at a serial point between runs.
-        """
-        reclaimed = 0
-        with self._lock:
-            for key in [k for k, entry in self._lent.items() if entry[2] == 0]:
-                entry = self._lent.pop(key)
-                self._free.setdefault(entry[1], []).append(entry[0])
-                reclaimed += 1
-        return reclaimed
-
-    def take_growth_bytes(self) -> int:
-        """Bytes grown since the last call (caller flushes to a tracker)."""
-        with self._lock:
-            grown = self._pending_growth
-            self._pending_growth = 0
-        return grown
-
-    def drain(self) -> int:
-        """Drop every pooled buffer; returns the bytes the caller should
-        release from its tracker (pending growth was never tracked, so it
-        is subtracted here)."""
-        with self._lock:
-            tracked = self.held_bytes - self._pending_growth
-            self._free.clear()
-            self._lent.clear()
-            self.held_bytes = 0
-            self._pending_growth = 0
-        return tracked
-
-    def stats(self) -> dict[str, int]:
-        return {"growths": self.growths, "reuses": self.reuses,
-                "held_bytes": self.held_bytes,
-                "lent": len(self._lent),
-                "free": sum(len(stack) for stack in self._free.values())}
 
 
 #: Process-global tracker shared by both backends.

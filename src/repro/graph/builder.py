@@ -57,17 +57,6 @@ def _graph(explicit: Graph | None = None) -> Graph:
     return explicit if explicit is not None else get_default_graph()
 
 
-def _pool_out(runtime, *operands):
-    """A recycled elementwise output buffer from the session's arena.
-
-    ``None`` (= "allocate fresh" for numpy ufuncs) when the arena is off or
-    the runtime doesn't pool — computes pass the result straight through as
-    the kernel's ``out=``.
-    """
-    helper = getattr(runtime, "ewise_out", None)
-    return helper(*operands) if helper is not None else None
-
-
 def convert_to_tensor(value, graph: Graph | None = None) -> GraphTensor:
     if isinstance(value, GraphTensor):
         return value
@@ -138,32 +127,27 @@ def _grad_identity(op, grads):
 
 @register_compute("Add")
 def _compute_add(op, inputs, runtime):
-    return (launch("ewise_add", np.add, inputs[0], inputs[1],
-                   out=_pool_out(runtime, inputs[0], inputs[1])),)
+    return (launch("ewise_add", np.add, inputs[0], inputs[1]),)
 
 
 @register_compute("Sub")
 def _compute_sub(op, inputs, runtime):
-    return (launch("ewise_sub", np.subtract, inputs[0], inputs[1],
-                   out=_pool_out(runtime, inputs[0], inputs[1])),)
+    return (launch("ewise_sub", np.subtract, inputs[0], inputs[1]),)
 
 
 @register_compute("Mul")
 def _compute_mul(op, inputs, runtime):
-    return (launch("ewise_mul", np.multiply, inputs[0], inputs[1],
-                   out=_pool_out(runtime, inputs[0], inputs[1])),)
+    return (launch("ewise_mul", np.multiply, inputs[0], inputs[1]),)
 
 
 @register_compute("RealDiv")
 def _compute_div(op, inputs, runtime):
-    return (launch("ewise_div", np.divide, inputs[0], inputs[1],
-                   out=_pool_out(runtime, inputs[0], inputs[1])),)
+    return (launch("ewise_div", np.divide, inputs[0], inputs[1]),)
 
 
 @register_compute("Neg")
 def _compute_neg(op, inputs, runtime):
-    return (launch("ewise_neg", np.negative, inputs[0],
-                   out=_pool_out(runtime, inputs[0])),)
+    return (launch("ewise_neg", np.negative, inputs[0]),)
 
 
 def _unbroadcast_to(grad: GraphTensor, reference: GraphTensor) -> GraphTensor:
@@ -224,8 +208,7 @@ def square(x: GraphTensor) -> GraphTensor:
 
 @register_compute("Square")
 def _compute_square(op, inputs, runtime):
-    return (launch("ewise_mul", np.multiply, inputs[0], inputs[0],
-                   out=_pool_out(runtime, inputs[0])),)
+    return (launch("ewise_mul", np.multiply, inputs[0], inputs[0]),)
 
 
 @register_grad("Square")
@@ -241,8 +224,7 @@ def sqrt(x: GraphTensor) -> GraphTensor:
 
 @register_compute("Sqrt")
 def _compute_sqrt(op, inputs, runtime):
-    return (launch("ewise_sqrt", np.sqrt, inputs[0],
-                   out=_pool_out(runtime, inputs[0])),)
+    return (launch("ewise_sqrt", np.sqrt, inputs[0]),)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +337,7 @@ def bias_add(x: GraphTensor, bias: GraphTensor, name: str = "BiasAdd") -> GraphT
 @register_compute("BiasAdd")
 def _compute_bias_add(op, inputs, runtime):
     # NHWC: bias broadcasts over the trailing channel dim
-    return (launch("bias_add", np.add, inputs[0], inputs[1],
-                   out=_pool_out(runtime, inputs[0], inputs[1])),)
+    return (launch("bias_add", np.add, inputs[0], inputs[1]),)
 
 
 @register_grad("BiasAdd")
@@ -390,7 +371,7 @@ tanh = _unary("Tanh")
 
 @register_compute("Relu")
 def _compute_relu(op, inputs, runtime):
-    return (K.relu(inputs[0], out=_pool_out(runtime, inputs[0])),)
+    return (K.relu(inputs[0]),)
 
 
 @register_grad("Relu")
@@ -438,8 +419,7 @@ def _compute_sigmoid_grad(op, inputs, runtime):
 
 @register_compute("Tanh")
 def _compute_tanh(op, inputs, runtime):
-    return (launch("tanh", np.tanh, inputs[0],
-                   out=_pool_out(runtime, inputs[0])),)
+    return (launch("tanh", np.tanh, inputs[0]),)
 
 
 @register_grad("Tanh")
@@ -1011,11 +991,8 @@ def capture_constant(value, name: str = "Const",
 @register_compute("AddN")
 def _compute_add_n(op, inputs, runtime):
     total = inputs[0]
-    out = _pool_out(runtime, *inputs)
     for value in inputs[1:]:
-        # after the first write ``total`` is the pooled buffer; in-place
-        # accumulation into it is exact (same ufunc, same order)
-        total = launch("ewise_add", np.add, total, value, out=out)
+        total = launch("ewise_add", np.add, total, value)
     return (total,)
 
 

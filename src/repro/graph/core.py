@@ -70,22 +70,19 @@ def topo_plan(roots: Iterable["Operation"]) -> list["Operation"]:
 
 def plan_levels(plan: list["Operation"],
                 extra_deps: dict | None = None) -> list[list["Operation"]]:
-    """Partition a topological plan into dependency *wavefronts*.
+    """Partition a topological plan into dependency levels.
 
     Level ``L`` holds every op whose longest dependency chain within the plan
-    has length ``L``; all ops in one level are mutually independent (no data
-    or control path connects them), so a parallel executor may run each level
-    concurrently with a barrier between levels.  Within a level, ops keep
-    their plan order, so the partition is deterministic.
+    has length ``L``; the ops of one level are mutually independent (no data
+    or control path connects them).  Within a level, ops keep their plan
+    order, so the partition is deterministic.
 
-    ``extra_deps`` (op name -> iterable of predecessor op names) adds
-    serialization edges beyond the graph's own data/control edges — the race
-    analysis (:mod:`repro.analysis.effects`) uses it to barrier-separate
-    effect-conflicting op pairs without mutating the (finalized) graph.
-    Every extra predecessor must precede its op in ``plan``; a predecessor
-    that does not (a typo'd or stale serialization edge) raises
-    :class:`ValueError` — silently dropping it would silently drop the race
-    protection it encodes.
+    ``extra_deps`` (op name -> iterable of predecessor op names) adds edges
+    beyond the graph's own data/control edges without mutating the
+    (finalized) graph — e.g. the order-pinning edges of the race analysis
+    (:func:`repro.analysis.effects.analyze_plan`).  Every extra predecessor
+    must precede its op in ``plan``; one that does not (a typo'd or stale
+    edge) raises :class:`ValueError` instead of being silently dropped.
     """
     level: dict[str, int] = {}
     levels: list[list[Operation]] = []

@@ -117,11 +117,10 @@ def _compute_fused_elementwise(op, inputs, runtime):
     ``attrs["chain"]`` is a tuple of ``(op_type, side)`` links: ``side`` is
     ``None`` for the head and for unary links, and for a binary link names
     which operand position the chain value feeds (the other operand is the
-    next external input).  The head writes into a fresh (or arena) buffer;
-    every later link runs in place on it when shape/dtype allow, so an
-    N-op chain costs one intermediate instead of N.
+    next external input).  The head writes into a fresh buffer; every later
+    link runs in place on it when shape/dtype allow, so an N-op chain costs
+    one intermediate instead of N.
     """
-    from .builder import _pool_out
     chain = op.attrs["chain"]
     head_type, _ = chain[0]
     if head_type in _EWISE_BINARY_KERNELS:
@@ -130,12 +129,7 @@ def _compute_fused_elementwise(op, inputs, runtime):
     else:
         operands = (inputs[0],)
         pos = 1
-    # captured graphs tag fused ops no_pool: a pinned consumer may stash the
-    # fused output by reference in its backward OpCtx, which must outlive
-    # any arena recycling of the buffer
-    head_out = (None if op.tags.get("no_pool")
-                else _pool_out(runtime, *operands))
-    value = _apply_ewise(head_type, *operands, out=head_out)
+    value = _apply_ewise(head_type, *operands)
     for op_type, side in chain[1:]:
         if op_type in _EWISE_BINARY_KERNELS:
             other = inputs[pos]
@@ -145,10 +139,7 @@ def _compute_fused_elementwise(op, inputs, runtime):
             ok = _reusable(value, shape) and (
                 not isinstance(other, np.ndarray)
                 or other.dtype == np.float64)
-            out = value if ok else (
-                None if op.tags.get("no_pool")
-                else _pool_out(runtime, a, b))
-            value = _apply_ewise(op_type, a, b, out=out)
+            value = _apply_ewise(op_type, a, b, out=value if ok else None)
         else:
             out = value if _reusable(value, np.shape(value)) else None
             value = _apply_ewise(op_type, value, out=out)

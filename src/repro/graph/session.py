@@ -13,41 +13,24 @@ on:
   ``run_interceptor`` seam to swap in an instrumented graph (graph switching,
   Sec. 5.3).
 
-Two executors share the compiled plan (see DESIGN.md, "Parallel execution"
-and "Slot-table execution and arena reuse"):
+One serial executor runs every plan (see DESIGN.md, "Executor").  It walks
+the topological plan in order and moves values through an integer-indexed
+**slot table** assigned at plan-compile time (one stable slot id per op
+output), so the per-op framework overhead is a couple of list indexings.
+Every intermediate is freed — its slots cleared and its bytes returned to the
+allocation tracker — right after the step that uses it last.  The release
+never drops bytes the run still holds:
 
-* the **serial** executor walks the topological plan in order and keeps every
-  intermediate alive until the run ends — the reference semantics;
-* the **wavefront** executor (``amanda.config.num_workers > 1``, env
-  ``AMANDA_NUM_WORKERS``) partitions the plan into dependency levels and runs
-  each level across a thread pool (numpy/BLAS release the GIL on the hot
-  kernels), releasing every intermediate at its statically-computed last-use
-  level so the runtime memory peak tracks the static liveness estimate.
+* a ``PyCall`` or ``Identity`` output may be its own input, so that input
+  stays counted for as long as the output lives;
+* a captured forward op stashes an ``OpCtx`` for its backward ops; its inputs
+  and outputs stay counted until the last backward op in the plan that reads
+  the stash, and that op then drops the stash from the run's table.  A
+  forward op that no backward op in the plan reads stashes nothing.
 
-Both executors move values through an integer-indexed **slot table** assigned
-at plan-compile time (one stable slot id per op output) instead of name-keyed
-dicts, so the per-op framework overhead is a couple of list indexings.  With
-``amanda.config.arena_reuse`` on (env ``AMANDA_ARENA``) freed intermediates
-additionally return to a size-bucketed :class:`repro.eager.alloc.Arena` at
-their last use — per-op last-use *steps* for the serial path, last-use levels
-for the wavefront path — and elementwise computes write into recycled
-buffers, so steady-state runs stop allocating.  Results stay bit-identical;
-fetched arena buffers are copied out before the pool recycles them.
-
-Parallel eligibility is decided by the static effect system
-(:mod:`repro.analysis.effects`): plan compilation runs the race detector,
-injects serialization edges between (only) the effect-conflicting op pairs,
-and the plan runs wavefronted with those pairs barrier-separated — ordering
-each pair by plan position reproduces the serial executor's per-key state
-access sequence, so results stay bit-identical.  Only two conditions still
-force the whole plan serial: an effect-*opaque* op (a ``PyCall`` whose tool
-declared no effects) and a kernel subscriber demanding in-order delivery.
-``config.effect_analysis = False`` (env ``AMANDA_EFFECT_ANALYSIS=0``)
-restores the legacy all-or-nothing rule — any store writer, training batch
-norm or non-``parallel_safe`` PyCall falls back serial — kept as an escape
-hatch and as the A/B baseline for ``benchmarks/bench_effects_ab.py``.
-``Session.last_serialization_report`` records, per run, which executor ran,
-why a fallback happened, and every serialized op with its conflict reason.
+Fetched values live until the run returns.  Under ``amanda.config
+.memory_budget`` the rematerialization schedule replaces these releases with
+its own per-instance ones (:mod:`repro.analysis.remat`).
 """
 
 from __future__ import annotations
@@ -55,7 +38,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,11 +47,9 @@ from ..core.config import config
 from ..eager import alloc
 from ..kernels.runtime import runtime as kernel_runtime
 from .builder import COMPUTE
-from .core import (Graph, GraphTensor, Operation, VariableStore, plan_levels,
-                   topo_plan)
+from .core import Graph, GraphTensor, Operation, VariableStore, topo_plan
 
-__all__ = ["Session", "SessionRunHook", "RunContext", "CompiledPlan",
-           "SerializationReport"]
+__all__ = ["Session", "SessionRunHook", "RunContext", "CompiledPlan"]
 
 
 class SessionRunHook:
@@ -92,148 +72,92 @@ class RunContext:
 
 
 class _Runtime:
-    """Per-run evaluation state handed to compute functions."""
+    """Per-run evaluation state handed to compute functions.
 
-    def __init__(self, feeds: dict[str, np.ndarray], variables: VariableStore,
-                 arena: alloc.Arena | None = None):
-        self.feeds = feeds
-        self.variables = variables
-        self.arena = arena
-
-    def ewise_out(self, *operands) -> np.ndarray | None:
-        """A recycled output buffer for an elementwise kernel, or ``None``.
-
-        Returns an arena buffer shaped like the broadcast of ``operands``
-        when the arena is on and every operand is a float64 ndarray (so the
-        kernel's result dtype is unchanged); ``None`` otherwise — numpy
-        ufuncs treat ``out=None`` as "allocate fresh", so computes can pass
-        the result through unconditionally.  Safe from wavefront workers.
-        """
-        arena = self.arena
-        if arena is None:
-            return None
-        shapes = []
-        for value in operands:
-            if not (isinstance(value, np.ndarray)
-                    and value.dtype == np.float64):
-                return None
-            shapes.append(value.shape)
-        return arena.acquire(np.broadcast_shapes(*shapes))
-
-
-#: op types whose compute writes the shared variable store — under the
-#: legacy (pre-effect-system) classification their presence forced serial
-_STORE_WRITERS = frozenset({"AssignSub", "AssignAdd", "AssignVar"})
-
-
-@dataclass(frozen=True)
-class SerializationReport:
-    """Structured record of the most recent run's executor decision.
-
-    ``executor`` is ``"wavefront"`` or ``"serial"``; ``fallback_reason``
-    names the construct that forced a serial run despite ``num_workers > 1``
-    (None for a plain single-worker run or a successful wavefront run);
-    ``conflicts`` lists the effect-conflicting op pairs a wavefront run
-    serialized via injected edges.
+    ``stash`` is the run's side table for state one op hands to later ops
+    (a captured forward op's ``OpCtx``).  Only ops named in ``stashers``
+    stash; an op named in ``stash_drops`` reads its stash for the last time
+    in the plan and removes it.
     """
 
-    executor: str
-    fallback_reason: str | None = None
-    conflicts: tuple = ()  # repro.analysis.effects.Conflict pairs
+    def __init__(self, feeds: dict[str, np.ndarray], variables: VariableStore,
+                 stashers: frozenset, stash_drops: frozenset):
+        self.feeds = feeds
+        self.variables = variables
+        self.stash: dict = {}
+        self.stashers = stashers
+        self.stash_drops = stash_drops
 
-    @property
-    def parallel(self) -> bool:
-        return self.executor == "wavefront"
 
-    @property
-    def serialized_ops(self) -> dict[str, list[str]]:
-        """Every op serialized by an injected edge -> its conflict reasons."""
-        ops: dict[str, list[str]] = {}
-        for conflict in self.conflicts:
-            ops.setdefault(conflict.first, []).append(
-                conflict.describe(conflict.first))
-            ops.setdefault(conflict.second, []).append(
-                conflict.describe(conflict.second))
-        return ops
+#: op types whose output may be one of their inputs (the same array)
+_ALIASING_TYPES = frozenset({"PyCall", "Identity"})
 
-    def __str__(self) -> str:
-        if self.fallback_reason is not None:
-            return f"serial executor: {self.fallback_reason}"
-        if not self.parallel:
-            return "serial executor (single worker)"
-        if not self.conflicts:
-            return "wavefront executor, no conflicting op pairs"
-        lines = [f"wavefront executor, {len(self.conflicts)} conflicting "
-                 f"op pair(s) serialized:"]
-        lines += [f"  {conflict}" for conflict in self.conflicts]
-        return "\n".join(lines)
+
+def _release_steps(ops: list[Operation], fetched: set[str],
+                   stash_last: dict[str, int]) -> list[tuple[int, ...]]:
+    """Per step, the ops whose outputs the executor frees after it.
+
+    An op's outputs die after the last op that reads them (its own step when
+    nothing does), extended by the lifetime rule: a stash holds its forward
+    op's inputs and outputs until the stash's last reader, and an aliasing
+    op's inputs live as long as its outputs.  Fetched ops are never freed.
+    """
+    position = {op.name: i for i, op in enumerate(ops)}
+    end = list(range(len(ops)))
+    for i, op in enumerate(ops):
+        for edge in op.inputs:
+            j = position[edge.op.name]
+            if end[j] < i:
+                end[j] = i
+    for name, last in stash_last.items():
+        i = position.get(name)
+        if i is None:
+            continue
+        for j in [i] + [position[edge.op.name] for edge in ops[i].inputs]:
+            if end[j] < last:
+                end[j] = last
+    never = len(ops)
+    for name in fetched:
+        if name in position:
+            end[position[name]] = never
+    # consumers come later in the plan, so one reverse pass settles chains
+    for i in range(len(ops) - 1, -1, -1):
+        if ops[i].type in _ALIASING_TYPES:
+            for edge in ops[i].inputs:
+                j = position[edge.op.name]
+                if end[j] < end[i]:
+                    end[j] = end[i]
+    steps: list[list[int]] = [[] for _ in ops]
+    for j, step in enumerate(end):
+        if step < never:
+            steps[step].append(j)
+    return [tuple(step) for step in steps]
 
 
 class CompiledPlan:
-    """A cached execution plan: topo order, wavefront levels, lifetimes.
+    """A cached execution plan: topo order, slot table, release steps.
 
     Compiled once per ``(graph fingerprint, fetches)`` and replayed by every
-    later ``run()``.  Compilation runs the static race analysis
-    (:func:`repro.analysis.effects.analyze_plan`) and computes the wavefront
-    levels *with the analysis' serialization edges injected*, so
-    effect-conflicting op pairs land in different levels and the barrier
-    between levels orders them like the serial executor would.
+    later ``run()``.  Compilation lowers the plan onto an integer-indexed
+    **slot table**: every op output gets a stable slot id (``slot_base[name]
+    + output index``), ``input_slots[i]`` holds the slot ids op ``i`` reads
+    and ``output_base[i]`` where it publishes, so the executor never touches
+    a name-keyed dict on the hot path.  ``release_after_step[i]`` lists the
+    ops whose outputs are freed after step ``i`` (see :func:`_release_steps`).
 
-    Compilation also lowers the plan onto an integer-indexed **slot table**:
-    every op output gets a stable slot id (``slot_base[name] + output
-    index``), ``input_slots[i]`` holds the slot ids op ``i`` reads and
-    ``output_base[i]`` where it publishes, so the executors never touch a
-    name-keyed dict on the hot path.
-
-    ``release_after_level[L]`` lists the ops whose outputs see their last
-    consumer in level ``L`` (fetched ops are never listed), so the wavefront
-    executor can free each intermediate at its statically computed last use;
-    ``release_levels``/``release_after_step`` are the same lifetimes lowered
-    to op indices — per wavefront level and per serial *step* (the serial
-    executor uses the latter only in arena mode; without the arena it keeps
-    every intermediate alive, the reference semantics).
-    ``serial_only_reason`` names the first effect-opaque op (which makes the
-    analysis — and therefore parallel execution — unsound), or ``None`` when
-    the plan is wavefront-eligible.  ``legacy_serial_reason`` preserves the
-    pre-effect-system all-or-nothing verdict for the
-    ``config.effect_analysis = False`` escape hatch.
-
-    Both classifications and the race analysis happen once here; the per-op
-    effect signatures are additionally memoized on the ops themselves (and
-    survive the driver's graph cloning), so plan recompilation after a
-    ``tool_epoch`` bump never redoes the per-op effect scan.
+    Captured backward ops name the forward op whose stash they read in
+    ``attrs["forward_name"]``; ``stashers`` holds those forward ops and
+    ``stash_drops`` each stash's last reader.
     """
 
-    __slots__ = ("ops", "levels", "position", "release_after_level",
-                 "races", "serial_only_reason", "legacy_serial_reason",
-                 "num_slots", "slot_base", "input_slots", "output_base",
-                 "computes", "level_indices", "release_levels",
-                 "release_after_step", "remat", "remat_error")
+    __slots__ = ("ops", "num_slots", "slot_base", "input_slots",
+                 "output_base", "computes", "release_after_step", "stashers",
+                 "stash_drops", "remat", "remat_error")
 
     def __init__(self, ops: list[Operation], fetch_ops: tuple[str, ...],
                  memory_budget: int = 0,
                  feed_shapes: dict[str, tuple] | None = None):
-        # lazy import: the analysis package sits above the graph core in the
-        # layering (same pattern as the graph driver's verifier import)
-        from ..analysis.effects import analyze_plan
         self.ops = ops
-        self.races = analyze_plan(ops)
-        self.levels = plan_levels(ops, extra_deps=self.races.extra_edges)
-        self.position = {op.name: i for i, op in enumerate(ops)}
-        level_of = {op.name: i for i, level in enumerate(self.levels)
-                    for op in level}
-        last_level = dict(level_of)
-        for op in ops:
-            for edge in op.inputs:
-                last_level[edge.op.name] = max(last_level[edge.op.name],
-                                               level_of[op.name])
-        fetched = set(fetch_ops)
-        self.release_after_level: list[list[str]] = [[] for _ in self.levels]
-        for op in ops:
-            if op.name not in fetched:
-                self.release_after_level[last_level[op.name]].append(op.name)
-        self.serial_only_reason = self.races.serial_only_reason
-        self.legacy_serial_reason = self._classify_legacy(ops)
 
         # -- slot table: one stable integer slot per op output --------------
         self.slot_base: dict[str, int] = {}
@@ -251,25 +175,17 @@ class CompiledPlan:
         # (op type registered after this plan compiled) falls back to a
         # registry lookup at execution
         self.computes: list = [COMPUTE.get(op.type) for op in ops]
-        self.level_indices: list[tuple[int, ...]] = [
-            tuple(self.position[op.name] for op in level)
-            for level in self.levels]
-        self.release_levels: list[tuple[int, ...]] = [
-            tuple(self.position[name] for name in names)
-            for names in self.release_after_level]
-        # serial last-use steps: an op's outputs die once the last op that
-        # reads them has executed (its own step when nothing reads them)
-        last_step = {op.name: i for i, op in enumerate(ops)}
+
+        # -- lifetimes: stash readers, then per-step releases ---------------
+        stash_last: dict[str, int] = {}
         for i, op in enumerate(ops):
-            for edge in op.inputs:
-                if last_step[edge.op.name] < i:
-                    last_step[edge.op.name] = i
-        steps: list[list[int]] = [[] for _ in ops]
-        for op in ops:
-            if op.name not in fetched:
-                steps[last_step[op.name]].append(self.position[op.name])
-        self.release_after_step: list[tuple[int, ...]] = [
-            tuple(step) for step in steps]
+            forward = op.attrs.get("forward_name")
+            if forward is not None:
+                stash_last[forward] = i
+        self.stashers = frozenset(stash_last)
+        self.stash_drops = frozenset(ops[i].name for i in stash_last.values())
+        self.release_after_step = _release_steps(ops, set(fetch_ops),
+                                                 stash_last)
 
         # -- memory-budgeted lowering (amanda.config.memory_budget) ----------
         # with a budget the static rematerialization pass replaces the
@@ -291,9 +207,7 @@ class CompiledPlan:
         from ..analysis.remat import op_costs, plan_remat
         bytes_of, flops_of, _unknown = op_costs(
             ops, ops[0].graph, feed_shapes=feed_shapes)
-        schedule = plan_remat(ops, fetch_ops, budget, bytes_of, flops_of,
-                              extra_deps=self.races.extra_edges)
-        self.remat = schedule
+        schedule = plan_remat(ops, fetch_ops, budget, bytes_of, flops_of)
         # slot table and base positions are untouched: a recompute instance
         # republishes the *same* slots its op always owned
         inst_ops = [ops[i] for i in schedule.instances]
@@ -304,38 +218,18 @@ class CompiledPlan:
                   for edge in op.inputs)
             for op in inst_ops]
         self.output_base = [self.slot_base[op.name] for op in inst_ops]
-        self.level_indices = [tuple(level) for level in schedule.levels]
-        self.release_levels = [tuple(level) for level in schedule.release_levels]
         self.release_after_step = list(schedule.release_after_step)
-        self.levels = [[inst_ops[t] for t in level]
-                       for level in schedule.levels]
-        self.release_after_level = [[inst_ops[t].name for t in level]
-                                    for level in schedule.release_levels]
-
-    @staticmethod
-    def _classify_legacy(ops: list[Operation]) -> str | None:
-        """Pre-effect-system whole-plan verdict (``effect_analysis`` off)."""
-        for op in ops:
-            if op.type == "PyCall" and not op.tags.get("parallel_safe"):
-                return f"PyCall op {op.name!r} without parallel_safe tag"
-            if op.type in _STORE_WRITERS:
-                return f"variable-store writer {op.name!r} ({op.type})"
-            if op.type == "FusedBatchNorm" and op.attrs.get("training"):
-                return f"training-mode batch norm {op.name!r}"
-        return None
-
-    @property
-    def parallel_safe(self) -> bool:
-        return self.serial_only_reason is None
+        # the schedule's releases ignore stashes, so stashes live to the end
+        # of the run (a recomputed backward op may read one again)
+        self.stash_drops = frozenset()
+        self.remat = schedule
 
     def __repr__(self) -> str:
         remat = ""
         if self.remat is not None:
             remat = (f", remat={self.remat.num_recomputes} recomputes"
                      f"/{self.remat.budget}B budget")
-        return (f"CompiledPlan({len(self.ops)} ops, {len(self.levels)} levels, "
-                f"parallel_safe={self.parallel_safe}, "
-                f"{len(self.races.conflicts)} serialized pairs{remat})")
+        return f"CompiledPlan({len(self.ops)} ops{remat})"
 
 
 class Session:
@@ -357,15 +251,10 @@ class Session:
         #: per-tenant quotas (a tenant cycling budget-variant plans evicts
         #: its own entries before touching another tenant's hot plans)
         self.cache_tenant: str | None = None
-        #: guards the plan cache and lazily-created executor/arena: ``run()``
-        #: is safe to call from concurrent threads on a shared session (the
-        #: serving runtime's hammer case) — LRU reorder, eviction and
-        #: single-instance creation all happen under this lock
+        #: guards the plan cache: ``run()`` is safe to call from concurrent
+        #: threads on a shared session (the serving runtime's hammer case) —
+        #: LRU reorder and eviction happen under this lock
         self._state_lock = threading.RLock()
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_workers = 0
-        #: lazily-created buffer arena (``config.arena_reuse``)
-        self._arena: alloc.Arena | None = None
         #: instrumentation opt-out consulted by the Amanda graph driver: an
         #: exempt session always runs its vanilla graph even while tools are
         #: active.  The serving runtime marks its vanilla-lane pooled
@@ -374,26 +263,10 @@ class Session:
         self.instrumentation_exempt = False
         self.run_count = 0
         self.last_run_seconds = 0.0
-        #: whether the most recent run used the wavefront executor
-        self.last_run_parallel = False
-        #: structured executor decision of the most recent run: executor
-        #: kind, fallback reason, and every serialized op with its
-        #: effect-conflict reason
-        self.last_serialization_report: SerializationReport | None = None
         #: the plan the most recent run executed — diagnostic access to the
         #: rematerialization schedule (``last_compiled.remat``) under a
         #: memory budget
         self.last_compiled: CompiledPlan | None = None
-
-    @property
-    def last_fallback_reason(self) -> str | None:
-        """Why the most recent run stayed serial despite ``num_workers > 1``.
-
-        Derived alias over :attr:`last_serialization_report` (which also
-        lists the per-op conflicts a wavefront run serialized).
-        """
-        report = self.last_serialization_report
-        return report.fallback_reason if report is not None else None
 
     def add_hook(self, hook: SessionRunHook) -> None:
         self.hooks.append(hook)
@@ -517,52 +390,26 @@ class Session:
         compiled = self._plan(graph, tuple(t.op.name for t in fetches),
                               memory_budget=budget, feed_shapes=feed_shapes)
         self.last_compiled = compiled
-        arena = None
-        if config.arena_reuse:
-            with self._state_lock:
-                if self._arena is None:
-                    self._arena = alloc.Arena()
-                arena = self._arena
-        runtime = _Runtime(feed, graph.variables, arena)
-        workers = config.num_workers
-        self.last_run_parallel = False
-        report = SerializationReport("serial")
-        if workers > 1:
-            reason = (compiled.serial_only_reason if config.effect_analysis
-                      else compiled.legacy_serial_reason)
-            if reason is not None:
-                report = SerializationReport("serial", fallback_reason=reason)
-            elif kernel_runtime.has_ordered_subscribers:
-                report = SerializationReport(
-                    "serial", fallback_reason=
-                    "kernel subscriber demands in-order delivery")
-            else:
-                self.last_run_parallel = True
-                report = SerializationReport(
-                    "wavefront", conflicts=compiled.races.conflicts)
-        self.last_serialization_report = report
+        runtime = _Runtime(feed, graph.variables, compiled.stashers,
+                           compiled.stash_drops)
         try:
-            if self.last_run_parallel:
-                return self._run_wavefront(compiled, fetches, runtime, workers)
-            return self._run_serial(compiled, fetches, runtime)
+            return self._execute(compiled, fetches, runtime)
         finally:
             self.last_run_seconds = time.perf_counter() - start
 
-    # -- serial executor (reference semantics) --------------------------------
-    def _run_serial(self, compiled: CompiledPlan, fetches: list[GraphTensor],
-                    runtime: _Runtime) -> list[np.ndarray]:
+    def _execute(self, compiled: CompiledPlan, fetches: list[GraphTensor],
+                 runtime: _Runtime) -> list[np.ndarray]:
         slots: list = [None] * compiled.num_slots
+        # per step, the (bytes, scope) the run still holds for its outputs
         live: list[tuple[int, str] | None] = [None] * len(compiled.ops)
-        arena = runtime.arena
         variables = runtime.variables
         tag_kernels = kernel_runtime.has_subscribers
-        # the per-op body is _execute_op inlined (and its locals hoisted):
-        # a serial run pays this loop once per op, and the call overhead
-        # alone outweighs the slot table's win on small kernels
         computes = compiled.computes
         input_slots = compiled.input_slots
         output_base = compiled.output_base
+        release_after_step = compiled.release_after_step
         allocate = alloc.tracker.allocate
+        release = self._release_op
         try:
             for index, op in enumerate(compiled.ops):
                 compute = computes[index]
@@ -587,211 +434,43 @@ class Session:
                 for offset, value in enumerate(outputs):
                     slots[base + offset] = value
                     if id(value) in input_ids or variables.owns(value):
-                        continue  # aliased pass-throughs are not fresh
-                    if arena is not None and arena.owns(value):
-                        continue  # pooled: accounted at arena growth time
+                        # aliased pass-throughs and store-backed values (a
+                        # Variable compute returns the stored array itself)
+                        # are not fresh
+                        continue
                     nbytes += np.asarray(value).nbytes
-                scope = allocate(nbytes, scope=op.tags.get("alloc_scope"))
-                live[index] = (nbytes, scope)
-                if arena is not None:
-                    for value in outputs:
-                        arena.adopt(value)
-                    self._flush_arena_growth(arena)
-                if arena is not None or compiled.remat is not None:
-                    # per-op last-use release: in arena mode, and under a
-                    # memory budget (where the remat schedule's frees are the
-                    # whole point) — otherwise the serial executor keeps
-                    # every intermediate alive until the run ends (the
-                    # reference semantics)
-                    for released in compiled.release_after_step[index]:
-                        self._release_op(released, compiled, slots, live,
-                                         arena)
-            return self._extract(compiled, fetches, slots, arena)
+                live[index] = (nbytes, allocate(
+                    nbytes, scope=op.tags.get("alloc_scope")))
+                for released in release_after_step[index]:
+                    release(released, compiled, slots, live)
+            return [slots[compiled.slot_base[t.op.name] + t.index]
+                    for t in fetches]
         finally:
-            # an op failure (e.g. a raising instrumentation callback inside a
-            # PyCall) must not leak the run's live-tensor accounting
-            self._release_remaining(compiled, slots, live, arena)
-
-    # -- wavefront executor (level-parallel, liveness-driven release) ----------
-    def _run_wavefront(self, compiled: CompiledPlan,
-                       fetches: list[GraphTensor], runtime: _Runtime,
-                       workers: int) -> list[np.ndarray]:
-        slots: list = [None] * compiled.num_slots
-        live: list[tuple[int, str] | None] = [None] * len(compiled.ops)
-        arena = runtime.arena
-        tag_kernels = kernel_runtime.has_subscribers
-        # deferred kernel events, indexed by plan position: delivered post-run
-        # sorted by plan position, so profiler output is bit-identical to a
-        # serial run regardless of worker count
-        event_lists: list[list] | None = \
-            [None] * len(compiled.ops) if tag_kernels else None
-        executor = self._ensure_executor(workers)
-        try:
-            for index, indices in enumerate(compiled.level_indices):
-                if len(indices) == 1:
-                    outcomes = [self._execute_op(indices[0], compiled, slots,
-                                                 runtime, tag_kernels,
-                                                 defer=True)]
-                else:
-                    outcomes = list(executor.map(
-                        lambda i: self._execute_op(i, compiled, slots,
-                                                   runtime, tag_kernels,
-                                                   defer=True),
-                        indices))
-                # bookkeeping is sequential, on the submitting thread: value
-                # publication, allocation accounting and early release never
-                # race with the workers (which only compute)
-                for op_index, (outputs, nbytes, events) in zip(indices,
-                                                               outcomes):
-                    op = compiled.ops[op_index]
-                    base = compiled.output_base[op_index]
-                    for offset, value in enumerate(outputs):
-                        slots[base + offset] = value
-                    scope = alloc.tracker.allocate(
-                        nbytes, scope=op.tags.get("alloc_scope"))
-                    live[op_index] = (nbytes, scope)
-                    if arena is not None:
-                        for value in outputs:
-                            arena.adopt(value)
-                    if events is not None:
-                        event_lists[op_index] = events
-                if arena is not None:
-                    self._flush_arena_growth(arena)
-                for op_index in compiled.release_levels[index]:
-                    self._release_op(op_index, compiled, slots, live, arena)
-            if event_lists is not None:
-                kernel_runtime.deliver(
-                    [event for events in event_lists if events
-                     for event in events])
-            return self._extract(compiled, fetches, slots, arena)
-        finally:
-            self._release_remaining(compiled, slots, live, arena)
-
-    # -- shared executor plumbing ----------------------------------------------
-    @staticmethod
-    def _flush_arena_growth(arena: alloc.Arena) -> None:
-        """Account arena growth with the tracker (submitting thread only)."""
-        grown = arena.take_growth_bytes()
-        if grown:
-            alloc.tracker.allocate(grown, scope="dnn")
+            # fetched values, and everything an op failure (e.g. a raising
+            # instrumentation callback inside a PyCall) left behind
+            for index, entry in enumerate(live):
+                if entry is not None:
+                    release(index, compiled, slots, live)
 
     @staticmethod
     def _release_op(index: int, compiled: CompiledPlan, slots: list,
-                    live: list, arena: alloc.Arena | None) -> None:
-        """Free op ``index``'s accounting entry and slot values."""
-        entry = live[index]
-        if entry is not None:
-            alloc.tracker.release(*entry)
-            live[index] = None
+                    live: list) -> None:
+        """Free step ``index``'s accounting entry and slot values."""
+        alloc.tracker.release(*live[index])
+        live[index] = None
         base = compiled.output_base[index]
         for slot in range(base, base + len(compiled.ops[index].outputs)):
-            value = slots[slot]
-            if value is not None and arena is not None:
-                arena.release(value)
             slots[slot] = None
-
-    def _release_remaining(self, compiled: CompiledPlan, slots: list,
-                           live: list, arena: alloc.Arena | None) -> None:
-        for index in range(len(compiled.ops)):
-            self._release_op(index, compiled, slots, live, arena)
-        if arena is not None:
-            # buffers a failed compute acquired but never published
-            arena.reclaim_unadopted()
-            self._flush_arena_growth(arena)
-
-    @staticmethod
-    def _extract(compiled: CompiledPlan, fetches: list[GraphTensor],
-                 slots: list, arena: alloc.Arena | None) -> list[np.ndarray]:
-        results = []
-        for t in fetches:
-            value = slots[compiled.slot_base[t.op.name] + t.index]
-            if arena is not None and arena.owns(value):
-                # detach the result before the pool recycles its buffer
-                value = np.array(value)
-            results.append(value)
-        return results
-
-    def _execute_op(self, index: int, compiled: CompiledPlan, slots: list,
-                    runtime: _Runtime, tag_kernels: bool, defer: bool):
-        """Run one op; returns ``(outputs, fresh bytes, deferred events)``.
-
-        Thread-safe for parallel-eligible plans: reads of ``slots`` only
-        touch entries published by earlier levels, the kernel runtime's tag
-        stack is per-thread, and with ``defer`` the op's kernel events are
-        captured instead of delivered inline.
-        """
-        op = compiled.ops[index]
-        compute = compiled.computes[index]
-        if compute is None:
-            compute = COMPUTE.get(op.type)
-            if compute is None:
-                raise NotImplementedError(
-                    f"no compute for op type {op.type!r}")
-            compiled.computes[index] = compute
-        inputs = [slots[slot] for slot in compiled.input_slots[index]]
-        events: list | None = None
-        if tag_kernels:
-            kernel_runtime.push_tag(f"{op.type}|{op.name}")
-            try:
-                if defer:
-                    events = []
-                    with kernel_runtime.capture(events):
-                        outputs = compute(op, inputs, runtime)
-                else:
-                    outputs = compute(op, inputs, runtime)
-            finally:
-                kernel_runtime.pop_tag()
-        else:
-            outputs = compute(op, inputs, runtime)
-        input_ids = {id(v) for v in inputs}
-        arena = runtime.arena
-        variables = runtime.variables
-        nbytes = 0
-        for o in outputs:
-            if id(o) in input_ids or variables.owns(o):
-                # aliased pass-throughs and store-backed reads (a Variable
-                # compute returns the stored array itself) are not fresh
-                continue
-            if arena is not None and arena.owns(o):
-                continue  # pooled buffers are accounted at arena growth time
-            nbytes += np.asarray(o).nbytes
-        return outputs, nbytes, events
-
-    def _ensure_executor(self, workers: int) -> ThreadPoolExecutor:
-        """The session's (lazily created, size-keyed) worker pool.
-
-        Lock-guarded so concurrent runs on a shared session create exactly
-        one pool.  (Concurrent runs requesting *different* worker counts
-        would still tear down a pool the other run is using — callers that
-        share a session across threads should pin ``num_workers``.)
-        """
-        with self._state_lock:
-            if self._executor is None or self._executor_workers != workers:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="amanda-wavefront")
-                self._executor_workers = workers
-            return self._executor
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Release the worker pool, pooled arena buffers and cached plans.
+        """Drop the cached plans.
 
-        Idempotent; the session stays usable afterwards (the pool and arena
-        are recreated lazily on the next run).  Prefer the context-manager
-        form: ``with Session(graph) as sess: ...``.
+        Idempotent; the session stays usable afterwards (plans recompile on
+        the next run).  Prefer the context-manager form: ``with
+        Session(graph) as sess: ...``.
         """
         with self._state_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True, cancel_futures=True)
-                self._executor = None
-                self._executor_workers = 0
-            if self._arena is not None:
-                freed = self._arena.drain()
-                if freed:
-                    alloc.tracker.release(freed, "dnn")
-                self._arena = None
             self._plan_cache.clear()
             self._plan_owner.clear()
 
@@ -801,10 +480,3 @@ class Session:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            # interpreter teardown may have dismantled our dependencies
-            pass

@@ -9,28 +9,21 @@ launch with timing and byte-count metadata.  Amanda's operator-level
 instrumentation points can then bracket these kernel events and aggregate them
 per operator, which is exactly the Fig. 8 experiment.
 
-The runtime is **parallel-safe**: the wavefront executor of
-:class:`~repro.graph.session.Session` launches kernels from worker threads, so
+The runtime is **thread-safe**: serving workers launch kernels from several
+threads at once, so
 
 * correlation-tag stacks are per-thread (a tag pushed on one worker is
   invisible to the others — the CUPTI thread-local correlation model);
-* ``launch_count`` and the subscriber list are guarded by a lock
-  (``subscribe``/``unsubscribe`` already held it; readers now do too);
-* :meth:`capture` buffers a thread's events instead of delivering them
-  inline, so a parallel run can re-deliver all events post-run in a
-  deterministic order (sorted by plan position) via :meth:`deliver` —
-  subscriber output is then bit-identical regardless of worker count.
+* ``launch_count`` and the subscriber list are guarded by a lock.
 
-Subscribers that need strictly in-order *inline* delivery (e.g. a debugger
-single-stepping kernels) pass ``ordered=True``; their presence makes the
-session fall back to serial execution.
+Every event is delivered inline, on the launching thread, as the kernel
+returns.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -80,9 +73,6 @@ class KernelRuntime:
 
     def __init__(self) -> None:
         self._subscribers: list[Callable[[KernelEvent], None]] = []
-        # equality-keyed like _subscribers: bound methods hash/compare by
-        # (func, self), so a re-created method object still unsubscribes
-        self._ordered: list[Callable[[KernelEvent], None]] = []
         self._lock = threading.Lock()
         self._tls = threading.local()
         self.launch_count = 0
@@ -94,34 +84,19 @@ class KernelRuntime:
         self._kernel_seconds: dict[str, float] = {}
 
     # -- subscription (cuptiSubscribe / cuptiUnsubscribe analogs) ----------
-    def subscribe(self, callback: Callable[[KernelEvent], None],
-                  ordered: bool = False) -> None:
-        """Register ``callback`` for kernel events.
-
-        With ``ordered=True`` the subscriber demands strictly in-order inline
-        delivery; the graph session then refuses to parallelize (events would
-        otherwise be buffered and re-sequenced post-run).
-        """
+    def subscribe(self, callback: Callable[[KernelEvent], None]) -> None:
+        """Register ``callback`` for kernel events."""
         with self._lock:
             self._subscribers.append(callback)
-            if ordered:
-                self._ordered.append(callback)
 
     def unsubscribe(self, callback: Callable[[KernelEvent], None]) -> None:
         with self._lock:
             self._subscribers.remove(callback)
-            if callback in self._ordered:
-                self._ordered.remove(callback)
 
     @property
     def has_subscribers(self) -> bool:
         with self._lock:
             return bool(self._subscribers)
-
-    @property
-    def has_ordered_subscribers(self) -> bool:
-        with self._lock:
-            return bool(self._ordered)
 
     # -- metrics snapshot (serving endpoint) --------------------------------
     def enable_counters(self, enabled: bool = True) -> None:
@@ -146,7 +121,6 @@ class KernelRuntime:
             return {
                 "launch_count": self.launch_count,
                 "subscribers": len(self._subscribers),
-                "ordered_subscribers": len(self._ordered),
                 "counters_enabled": self._counters_enabled,
                 "per_kernel": {
                     name: {"count": self._kernel_counts[name],
@@ -173,30 +147,6 @@ class KernelRuntime:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    # -- deferred delivery (parallel runs) ----------------------------------
-    @contextmanager
-    def capture(self, buffer: list[KernelEvent]):
-        """Buffer this thread's events into ``buffer`` instead of delivering.
-
-        Used by the wavefront executor: each worker captures its operator's
-        events, and the session re-delivers them post-run in plan order via
-        :meth:`deliver`, making profiler output order-deterministic.
-        """
-        previous = getattr(self._tls, "buffer", None)
-        self._tls.buffer = buffer
-        try:
-            yield buffer
-        finally:
-            self._tls.buffer = previous
-
-    def deliver(self, events: list[KernelEvent]) -> None:
-        """Deliver pre-recorded events to the current subscribers, in order."""
-        with self._lock:
-            subscribers = tuple(self._subscribers)
-        for event in events:
-            for callback in subscribers:
-                callback(event)
-
     # -- launch -------------------------------------------------------------
     def launch(self, name: str, fn: Callable[..., Any], *args: Any,
                meta: dict | None = None, **kwargs: Any) -> Any:
@@ -210,8 +160,7 @@ class KernelRuntime:
             self.launch_count += 1
             subscribers = tuple(self._subscribers)
             counting = self._counters_enabled
-        buffer = getattr(self._tls, "buffer", None)
-        if not subscribers and buffer is None and not counting:
+        if not subscribers and not counting:
             return fn(*args, **kwargs)
         start = time.perf_counter()
         result = fn(*args, **kwargs)
@@ -222,7 +171,7 @@ class KernelRuntime:
                     self._kernel_counts.get(name, 0) + 1
                 self._kernel_seconds[name] = \
                     self._kernel_seconds.get(name, 0.0) + duration
-        if not subscribers and buffer is None:
+        if not subscribers:
             return result
         event = KernelEvent(
             name=name,
@@ -232,9 +181,6 @@ class KernelRuntime:
             bytes_accessed=_nbytes(args) + _nbytes(result),
             meta=dict(meta or {}),
         )
-        if buffer is not None:
-            buffer.append(event)
-            return result
         for callback in subscribers:
             callback(event)
         return result

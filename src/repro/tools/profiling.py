@@ -16,6 +16,7 @@ either backend.
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -207,6 +208,9 @@ class KernelProfilingTool(Tool):
         #: op tag -> kernel name -> [durations]
         self.kernel_times: dict[str, dict[str, list[float]]] = {}
         self.kernel_bytes: dict[str, int] = defaultdict(int)
+        # serving workers launch kernels from several threads at once; the
+        # byte totals are read-modify-write updates
+        self._event_lock = threading.Lock()
         self.depends_on(standard_mapping_tool())
         # registering an (empty) analysis routine keeps the framework engaged
         # so correlation tags are pushed for every op
@@ -224,9 +228,10 @@ class KernelProfilingTool(Tool):
     def _on_kernel_event(self, event: KernelEvent) -> None:
         tag = event.correlation_tag or "(untagged)"
         op = tag.split("|")[0]
-        per_kernel = self.kernel_times.setdefault(op, {})
-        per_kernel.setdefault(event.name, []).append(event.duration)
-        self.kernel_bytes[event.name] += event.bytes_accessed
+        with self._event_lock:
+            per_kernel = self.kernel_times.setdefault(op, {})
+            per_kernel.setdefault(event.name, []).append(event.duration)
+            self.kernel_bytes[event.name] += event.bytes_accessed
 
     # -- reporting ------------------------------------------------------------
     def op_level_breakdown(self) -> dict[str, float]:

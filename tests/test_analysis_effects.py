@@ -1,10 +1,10 @@
 """Effect signatures and plan-level race detection.
 
-The effect system is what lets the wavefront executor parallelize plans with
-stateful ops: every builtin op type must have a registered signature
-(CI-enforced completeness, like the schema registry), and ``analyze_plan``
-must find exactly the unordered pairs that race on shared state — no more
-(lost parallelism) and no less (lost correctness).
+Every builtin op type must have a registered signature (CI-enforced
+completeness, like the schema registry): the rematerialization pass
+recomputes only effect-pure ops.  ``analyze_plan`` must find exactly the
+unordered pairs that race on shared state — the pairs whose order only the
+plan's topological tie-break fixes — no more and no less.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.analysis.effects import (GRAPH_EFFECTS, OPAQUE, PURE,
                                     normalize_effects,
                                     stale_effect_signatures)
 from repro.analysis.lint import lint_contexts
-from repro.analysis.liveness import estimate_liveness
 from repro.analysis.schemas import GRAPH_SCHEMAS
 from repro.graph import builder as gb
 from repro.graph.core import plan_levels, topo_plan
@@ -260,21 +259,6 @@ class TestRaceAwareLevels:
         assert level_of[conflict.first] < level_of[conflict.second]
         assert sum(len(level) for level in leveled) == len(plan)
 
-    def test_wavefront_liveness_respects_injected_edges(self):
-        with G.default_graph():
-            x = gb.placeholder(name="x")
-            v = gb.variable(np.zeros(4), name="v")
-            a = gb.assign_add(v, gb.relu(x), name="writer_a")
-            b = gb.assign_add(v, gb.tanh(x), name="writer_b")
-            out = gb.identity(gb.relu(x), name="out")
-            step = gb.group([a, b], name="step")
-        g = x.graph
-        report = estimate_liveness(g, fetches=[out, step.outputs[0]],
-                                   feed_shapes={"x": (4,)},
-                                   schedule_mode="wavefront")
-        assert set(report.schedule) >= {"writer_a", "writer_b", "out"}
-        assert report.peak_bytes >= 0
-
 
 class TestLintEffectConflict:
     @staticmethod
@@ -324,8 +308,8 @@ class TestDeclaredEffectsEndToEnd:
     def test_declared_pycalls_run_parallel_and_serialized(self, rng):
         """Two tools with racing declared effects on *independent branches*
         (insert-before wrappers on the same op would chain, i.e. already be
-        ordered) still run wavefronted — their PyCalls are the conflicting
-        pair, serialized in plan order."""
+        ordered): their PyCalls are the plan's one conflicting pair, each
+        runs once, in plan order, and the output stays vanilla."""
         hits = []
 
         def make(name, op_type):
@@ -344,13 +328,17 @@ class TestDeclaredEffectsEndToEnd:
         feed = {x: rng.standard_normal(4)}
         baseline = np.asarray(sess.run(y, feed))
 
-        with amanda.num_workers(4), amanda.apply(make("first", "Relu"),
-                                                 make("second", "Tanh")):
+        with amanda.apply(make("first", "Relu"), make("second", "Tanh")):
             got = np.asarray(sess.run(y, feed))
-        assert sess.last_run_parallel, sess.last_fallback_reason
-        report = sess.last_serialization_report
+            plan = sess.last_compiled.ops
+        report = analyze_plan(plan)
         assert len(report.conflicts) == 1
         assert report.conflicts[0].kind == "write-write"
         assert report.conflicts[0].keys == ("log",)
         np.testing.assert_array_equal(got, baseline)
         assert sorted(hits) == ["first", "second"]
+        # the callbacks fired in the plan order of their PyCalls
+        wrapped = {edge.op.name: op.type for op in plan for edge in op.inputs}
+        owner = {"Relu": "first", "Tanh": "second"}
+        assert hits == [owner[wrapped[op.name]] for op in plan
+                        if op.type == "PyCall"]

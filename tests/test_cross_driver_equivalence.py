@@ -144,8 +144,8 @@ class TestCrossDriverEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# capture matrix: {vanilla, observe-only, mutating, quarantined} tools
-# x workers {1, 4} — captured execution must stay bit-identical to eager
+# capture matrix: {vanilla, observe-only, mutating, quarantined} tools —
+# captured execution must stay bit-identical to eager
 # ---------------------------------------------------------------------------
 
 _MATRIX_TOOLS = {
@@ -156,17 +156,16 @@ _MATRIX_TOOLS = {
 }
 
 
-def _matrix_run(run, kind, workers):
+def _matrix_run(run, kind):
     """Steady-state output of ``run`` under the matrix cell's tool."""
     factory = _MATRIX_TOOLS[kind]
     policy = (amanda.error_policy("quarantine") if kind == "quarantine"
               else contextlib.nullcontext())
     if factory is None:
-        with amanda.num_workers(workers):
-            run()
-            return run(), None, None
+        run()
+        return run(), None, None
     instance = factory()
-    with policy, amanda.num_workers(workers), amanda.apply(instance) as mgr:
+    with policy, amanda.apply(instance) as mgr:
         run()                  # analysis pass / trace + first replay
         out = run()            # steady-state replay
         quarantined = set(mgr.quarantined)  # scope exit lifts quarantine
@@ -174,19 +173,18 @@ def _matrix_run(run, kind, workers):
 
 
 class TestCapturedMatrixEquivalence:
-    """Captured == eager, bitwise, across tools and worker counts."""
+    """Captured == eager, bitwise, across tools."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("kind", sorted(_MATRIX_TOOLS))
-    def test_captured_matches_eager(self, kind, workers):
+    def test_captured_matches_eager(self, kind):
         x = E.tensor(X)
         eager_model = _CaptureNet().eval()
         cm = capture(_CaptureNet().eval())
 
         eager_out, eager_tool, _ = _matrix_run(
-            lambda: eager_model(x).data, kind, workers)
+            lambda: eager_model(x).data, kind)
         cap_out, cap_tool, cap_quarantined = _matrix_run(
-            lambda: cm(x).data, kind, workers)
+            lambda: cm(x).data, kind)
         np.testing.assert_array_equal(np.asarray(cap_out),
                                       np.asarray(eager_out))
         assert cm.capture_count >= 1

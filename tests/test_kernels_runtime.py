@@ -87,7 +87,7 @@ def test_event_meta_passthrough(runtime):
     assert events[0].meta == {"algo": "winograd"}
 
 
-# -- parallel safety (wavefront executor launches from worker threads) --------
+# -- thread safety (serving workers launch from several threads) -------------
 
 def _hammer(runtime, threads, launches_per_thread):
     def work():
@@ -150,53 +150,3 @@ def test_correlation_tags_are_per_thread(runtime):
     # no cross-thread bleed: each thread's 20 launches carry its own tag
     assert by_tag == {"op|0": 20, "op|1": 20}
     assert runtime.current_tag() is None  # main thread's stack untouched
-
-
-def test_capture_buffers_instead_of_delivering(runtime):
-    delivered, captured = [], []
-    runtime.subscribe(delivered.append)
-    with runtime.capture(captured):
-        runtime.launch("k", lambda: np.zeros(1))
-    assert delivered == []
-    assert len(captured) == 1
-    runtime.deliver(captured)
-    runtime.unsubscribe(delivered.append)
-    assert delivered == captured
-
-
-def test_capture_restores_previous_buffer(runtime):
-    outer, inner = [], []
-    with runtime.capture(outer):
-        with runtime.capture(inner):
-            runtime.launch("a", lambda: np.zeros(1))
-        runtime.launch("b", lambda: np.zeros(1))
-    assert [e.name for e in inner] == ["a"]
-    assert [e.name for e in outer] == ["b"]
-    # outside any capture scope events flow inline again (none buffered)
-    runtime.launch("c", lambda: np.zeros(1))
-    assert len(outer) == 1 and len(inner) == 1
-
-
-def test_capture_without_subscribers_still_records(runtime):
-    captured = []
-    with runtime.capture(captured):
-        runtime.launch("k", lambda: np.zeros(1))
-    assert len(captured) == 1  # profiler may subscribe before deliver()
-
-
-def test_ordered_subscriber_tracked_and_released(runtime):
-    events = []
-    runtime.subscribe(events.append, ordered=True)
-    assert runtime.has_ordered_subscribers
-    runtime.unsubscribe(events.append)
-    assert not runtime.has_ordered_subscribers
-    assert not runtime.has_subscribers
-
-
-def test_ordered_flag_survives_bound_method_identity(runtime):
-    """list.append-style bound methods get a fresh object per access; the
-    ordered bookkeeping must still clear on unsubscribe (equality, not id)."""
-    seen = []
-    runtime.subscribe(seen.append, ordered=True)
-    runtime.unsubscribe(seen.append)  # distinct object, equal value
-    assert not runtime.has_ordered_subscribers

@@ -1,12 +1,15 @@
-"""Slot-table execution and arena buffer reuse: equivalence + accounting.
+"""Slot-table execution: equivalence across modes, steady state, lifecycle.
 
-The slot-table executor and the arena pool must be invisible except for
-speed: for every worker count, with the arena on or off, instrumented or
-quarantined, the results are bit-identical to the plain serial dict-era
-semantics.  The arena additionally has to reach a steady state — a second
-run of the same plan performs zero fresh growths — and every byte it holds
-must flow through the allocation tracker and come back out at close.
+The slot-table executor must be invisible except for speed and memory: with
+or without a memory budget, instrumented or quarantined, on a first run or
+a warm repeat, the results are bit-identical.  Repeat runs of one plan reach
+a steady state — no recompile, no growth of the tracked peak — and every
+byte a run charges to the allocation tracker comes back out by the time the
+run returns.  (The module name dates from the pooled buffer arena the
+executor once recycled its outputs through.)
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -15,12 +18,10 @@ import repro.amanda as amanda
 import repro.graph as G
 import repro.models.graph as GM
 from repro.amanda.tools import ExecutionTraceTool
+from repro.analysis.remat import plan_remat_for_graph
 from repro.eager import alloc
-from repro.eager.alloc import Arena
 from repro.graph import builder as gb
 from repro.tools.faulty import FaultyTool
-
-WORKER_COUNTS = (1, 2, 4)
 
 ZOO = [
     (GM.build_mlp, (8, 16)),
@@ -29,6 +30,20 @@ ZOO = [
     (GM.build_mobilenet_v2, (2, 16, 16, 3)),
     (GM.build_inception_v3, (2, 16, 16, 3)),
 ]
+
+
+@pytest.fixture(autouse=True)
+def _quiet_tracker():
+    """Start each test from a tracker no earlier test can still move.
+
+    Eager tensors release their tracker bytes when collected; earlier tests
+    leave some in reference cycles, and a collection during a run here
+    would lower the live bytes these tests compare exactly.
+    """
+    gc.collect()
+    alloc.tracker.reset()
+    yield
+    gc.collect()
 
 
 def _zoo_feed(gm, rng, input_shape):
@@ -41,63 +56,70 @@ def _assert_same(expected, actual):
         np.testing.assert_array_equal(np.asarray(want), np.asarray(got))
 
 
+def _budget_below_peak(gm, fetches, feed, fraction=0.6):
+    """A memory budget under the plan's unbudgeted last-use peak."""
+    shapes = {tensor.op.name: np.shape(value) for tensor, value in feed.items()}
+    static = plan_remat_for_graph(gm.graph, fetches, budget=1 << 60,
+                                  feed_shapes=shapes)
+    return int(static.baseline_serial_peak * fraction)
+
+
+def _runs_across_modes(sess, fetches, feed, budget):
+    """Yield (first, repeat, compiled) without and with a memory budget."""
+    for budget_bytes in (0, budget):
+        with amanda.memory_budget(budget_bytes):
+            got = sess.run(fetches, feed)
+            # steady state: run the cached plan again
+            again = sess.run(fetches, feed)
+            yield got, again, sess.last_compiled
+
+
 class TestBitEquivalence:
-    """serial == slot-table == arena-reuse, for every worker count."""
+    """unbudgeted == budgeted (remat), first run == warm repeat."""
 
     @pytest.mark.parametrize("builder,input_shape", ZOO)
     def test_zoo_bitwise_equal_across_modes(self, rng, builder, input_shape):
         gm = builder()
         feed = _zoo_feed(gm, rng, input_shape)
+        fetches = [gm.logits, gm.loss]
+        budget = _budget_below_peak(gm, fetches, feed)
         with gm.session() as sess:
-            baseline = sess.run([gm.logits, gm.loss], feed)
-            for workers in WORKER_COUNTS:
-                for arena_on in (False, True):
-                    with amanda.num_workers(workers), \
-                            amanda.arena_reuse(arena_on):
-                        got = sess.run([gm.logits, gm.loss], feed)
-                        # steady state: run again against the warm pool
-                        again = sess.run([gm.logits, gm.loss], feed)
-                    _assert_same(baseline, got)
-                    _assert_same(baseline, again)
+            baseline = sess.run(fetches, feed)
+            modes = list(_runs_across_modes(sess, fetches, feed, budget))
+        for got, again, _ in modes:
+            _assert_same(baseline, got)
+            _assert_same(baseline, again)
+        (_, _, plain), (_, _, budgeted) = modes
+        assert plain.remat is None
+        assert budgeted.remat is not None and budgeted.remat_error is None
+        assert budgeted.remat.num_recomputes > 0
 
     def test_bert_bitwise_equal_across_modes(self, rng):
         gm = GM.build_bert()
         feed = {gm.inputs: rng.integers(0, 32, (2, 16)),
                 gm.labels: np.zeros((2, 16), dtype=int)}
+        fetches = [gm.logits, gm.loss]
+        budget = _budget_below_peak(gm, fetches, feed)
         with gm.session() as sess:
-            baseline = sess.run([gm.logits, gm.loss], feed)
-            for workers in WORKER_COUNTS:
-                for arena_on in (False, True):
-                    with amanda.num_workers(workers), \
-                            amanda.arena_reuse(arena_on):
-                        got = sess.run([gm.logits, gm.loss], feed)
-                    _assert_same(baseline, got)
-
-    def test_training_trajectory_identical_under_arena(self, rng):
-        inputs = rng.standard_normal((8, 16))
-        labels = rng.integers(0, 4, 8)
-
-        def losses(arena_on):
-            gm = GM.build_mlp()  # fresh parameters for each arm
-            feed = {gm.inputs: inputs, gm.labels: labels}
-            with gm.session() as sess, amanda.arena_reuse(arena_on):
-                return [float(sess.run([gm.loss, gm.train_op], feed)[0])
-                        for _ in range(3)]
-
-        assert losses(False) == losses(True)
+            baseline = sess.run(fetches, feed)
+            modes = list(_runs_across_modes(sess, fetches, feed, budget))
+        for got, again, _ in modes:
+            _assert_same(baseline, got)
+            _assert_same(baseline, again)
+        assert modes[1][2].remat.num_recomputes > 0
 
     def test_instrumented_run_bitwise_equal(self, rng):
         gm = GM.build_mlp()
         feed = _zoo_feed(gm, rng, (8, 16))
+        fetches = [gm.logits, gm.loss]
+        budget = _budget_below_peak(gm, fetches, feed)
         with gm.session() as sess:
-            baseline = sess.run([gm.logits, gm.loss], feed)
+            baseline = sess.run(fetches, feed)
             with amanda.apply(ExecutionTraceTool()):
-                for workers in WORKER_COUNTS:
-                    for arena_on in (False, True):
-                        with amanda.num_workers(workers), \
-                                amanda.arena_reuse(arena_on):
-                            got = sess.run([gm.logits, gm.loss], feed)
-                        _assert_same(baseline, got)
+                for got, again, _ in _runs_across_modes(sess, fetches, feed,
+                                                        budget):
+                    _assert_same(baseline, got)
+                    _assert_same(baseline, again)
 
     def test_quarantined_run_bitwise_equal(self, rng):
         gm = GM.build_mlp()
@@ -106,14 +128,14 @@ class TestBitEquivalence:
             baseline = sess.run([gm.logits, gm.loss], feed)
             tool = FaultyTool(always=True)
             with amanda.error_policy("quarantine"), amanda.apply(tool) as mgr:
-                with amanda.arena_reuse(True):
-                    got = sess.run([gm.logits, gm.loss], feed)
+                got = sess.run([gm.logits, gm.loss], feed)
                 assert tool.name in mgr.quarantined
             _assert_same(baseline, got)
 
 
 class TestArenaSteadyState:
-    """The pool converges: repeat runs reuse buffers instead of growing."""
+    """Repeat runs settle: the plan is reused and the tracked peak stops
+    growing after the first run."""
 
     @pytest.mark.parametrize("builder,input_shape", [
         (GM.build_mlp, (8, 16)),
@@ -123,123 +145,41 @@ class TestArenaSteadyState:
                                               input_shape):
         gm = builder()
         feed = _zoo_feed(gm, rng, input_shape)
-        with gm.session() as sess, amanda.arena_reuse(True):
-            sess.run([gm.logits, gm.loss], feed)
-            arena = sess._arena
-            assert arena is not None and arena.growths > 0
-            growths = arena.growths
-            sess.run([gm.logits, gm.loss], feed)
-            assert arena.growths == growths, \
-                "steady-state run grew the arena"
-            assert arena.reuses > 0
-
-    def test_arena_off_means_no_pool(self, rng):
-        gm = GM.build_mlp()
-        feed = _zoo_feed(gm, rng, (8, 16))
         with gm.session() as sess:
             sess.run([gm.logits, gm.loss], feed)
-            assert sess._arena is None
+            compiled = sess.last_compiled
+            peak = alloc.tracker.peak["dnn"]
+            assert peak > 0
+            assert alloc.tracker.live["dnn"] == 0
+            sess.run([gm.logits, gm.loss], feed)
+            assert sess.last_compiled is compiled
+            assert alloc.tracker.peak["dnn"] == peak, \
+                "steady-state run grew the tracked peak"
+            assert alloc.tracker.live["dnn"] == 0
 
     def test_fetched_values_survive_pool_recycling(self, rng):
-        # fetched tensors are copied out of the pool, so a later run that
-        # recycles the buffer must not corrupt earlier results
+        # the run frees its intermediates and a later run reuses the plan's
+        # slot table: neither may touch a value the caller already holds
         gm = GM.build_mlp()
         feed = _zoo_feed(gm, rng, (8, 16))
         with gm.session() as sess:
-            reference = sess.run(gm.logits, feed)
-            with amanda.arena_reuse(True):
-                first = sess.run(gm.logits, feed)
-                snapshot = np.array(first)
-                sess.run(gm.logits,
-                         _zoo_feed(gm, np.random.default_rng(7), (8, 16)))
+            first = sess.run(gm.logits, feed)
+            snapshot = np.array(first)
+            sess.run(gm.logits,
+                     _zoo_feed(gm, np.random.default_rng(7), (8, 16)))
+            again = sess.run(gm.logits, feed)
             np.testing.assert_array_equal(first, snapshot)
-            np.testing.assert_array_equal(first, np.asarray(reference))
-            assert not sess._arena.owns(first)
-
-
-class TestArenaUnit:
-    """Arena acquire/adopt/release mechanics in isolation."""
-
-    def test_acquire_buckets_to_power_of_two(self):
-        arena = Arena()
-        buf = arena.acquire((3, 5))
-        assert buf.shape == (3, 5) and buf.dtype == np.float64
-        assert arena.growths == 1
-        # 15 elements -> 16-element bucket
-        assert arena.held_bytes == 16 * 8
-
-    def test_release_then_acquire_reuses(self):
-        arena = Arena()
-        buf = arena.acquire((4, 4))
-        arena.adopt(buf)
-        arena.release(buf)
-        again = arena.acquire((2, 8))  # same 16-element bucket
-        assert arena.reuses == 1 and arena.growths == 1
-
-    def test_refcounted_alias_release(self):
-        # two adopters (e.g. an Identity alias) need two releases
-        arena = Arena()
-        buf = arena.acquire((8,))
-        view = buf[:4]
-        arena.adopt(buf)
-        arena.adopt(view)
-        assert arena.owns(view)
-        arena.release(buf)
-        assert arena.acquire((8,)) is not None and arena.reuses == 0
-        arena.release(view)
-        arena.acquire((8,))
-        assert arena.reuses == 1
-
-    def test_unadopted_buffers_reclaimed(self):
-        # a compute that raised never published its output: sweep it back
-        arena = Arena()
-        arena.acquire((8,))
-        arena.reclaim_unadopted()
-        arena.acquire((8,))
-        assert arena.reuses == 1 and arena.growths == 1
-
-    def test_growth_bytes_flushed_once(self):
-        arena = Arena()
-        arena.acquire((8,))
-        assert arena.take_growth_bytes() == 8 * 8
-        assert arena.take_growth_bytes() == 0
-
-    def test_drain_returns_tracked_bytes(self):
-        arena = Arena()
-        buf = arena.acquire((8,))
-        flushed = arena.take_growth_bytes()
-        arena.adopt(buf)
-        arena.release(buf)
-        assert arena.drain() == flushed
-        assert arena.held_bytes == 0
-
-    def test_foreign_arrays_not_owned(self):
-        arena = Arena()
-        foreign = np.zeros(4)
-        assert not arena.owns(foreign)
-        arena.adopt(foreign)  # no-op
-        arena.release(foreign)  # no-op
-        assert arena.stats()["growths"] == 0
+            np.testing.assert_array_equal(first, np.asarray(again))
+            assert not np.shares_memory(first, again)
 
 
 class TestSessionLifecycle:
-    """close() releases every tracked byte and is idempotent."""
-
-    def test_close_releases_arena_accounting(self, rng):
-        gm = GM.build_mlp()
-        feed = _zoo_feed(gm, rng, (8, 16))
-        sess = gm.session()
-        with amanda.arena_reuse(True):
-            sess.run([gm.logits, gm.loss], feed)
-        assert alloc.tracker.live.get("dnn", 0) > 0
-        sess.close()
-        assert alloc.tracker.live.get("dnn", 0) == 0
-        sess.close()  # idempotent
+    """A run hands back every tracked byte; close() drops the plans."""
 
     def test_context_manager_closes(self, rng):
         gm = GM.build_mlp()
         feed = _zoo_feed(gm, rng, (8, 16))
-        with gm.session() as sess, amanda.arena_reuse(True):
+        with gm.session() as sess:
             sess.run([gm.logits, gm.loss], feed)
         assert alloc.tracker.live.get("dnn", 0) == 0
         assert len(sess._plan_cache) == 0

@@ -70,7 +70,7 @@ class TestPlanCacheHammer:
         fetches = [op.outputs[0] for op in forward[:5]] + [model.logits]
         assert len(fetches) >= 5
         iterations = 30
-        with amanda.plan_cache_size(3), amanda.arena_reuse(False):
+        with amanda.plan_cache_size(3):
             references = [session.run(t, feed) for t in fetches]
 
             def worker(i):
@@ -91,13 +91,13 @@ class TestPlanCacheHammer:
         feed = {model.inputs: rng.standard_normal((2, 16))}
         barrier = threading.Barrier(THREADS)
         plans = []
-        with amanda.arena_reuse(False):
-            def worker(i):
-                barrier.wait()
-                session.run(model.logits, feed)
-                plans.append(next(iter(session._plan_cache.values())))
 
-            _run_threads(worker)
+        def worker(i):
+            barrier.wait()
+            session.run(model.logits, feed)
+            plans.append(next(iter(session._plan_cache.values())))
+
+        _run_threads(worker)
         assert len(session._plan_cache) == 1
         assert len({id(p) for p in plans}) == 1, \
             "racing threads compiled duplicate plans for one fetch set"
