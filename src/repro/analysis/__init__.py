@@ -22,9 +22,7 @@ runs and silently computes the wrong thing.  This package catches those bugs
   :class:`repro.tools.memory.MemoryProfilingTool`;
 * :mod:`repro.analysis.effects` — per-op effect signatures (pure /
   reads-state / writes-state / rng / ordered-event / opaque), which decide
-  what the rematerialization pass may recompute, and the plan-level race
-  detector that reports op pairs whose order only the plan's tie-break
-  fixes;
+  what the rematerialization pass may recompute;
 * :mod:`repro.analysis.remat` — static keep-vs-recompute schedules for a
   memory budget.
 
@@ -32,10 +30,9 @@ Run ``python -m repro.analysis`` to verify and lint the graphs built by the
 ``examples/`` model zoo.
 """
 
-from .effects import (GRAPH_EFFECTS, Conflict, EffectSig, RaceReport,
-                      analyze_plan, check_effects_complete, effect_signature,
-                      missing_effect_signatures, normalize_effects,
-                      register_graph_effect)
+from .effects import (GRAPH_EFFECTS, EffectSig, check_effects_complete,
+                      effect_signature, missing_effect_signatures,
+                      normalize_effects, register_graph_effect)
 from .lint import LintIssue, lint_contexts
 from .liveness import LivenessReport, estimate_liveness
 from .source_lint import (SourceLintIssue, lint_span_safety,
@@ -54,9 +51,9 @@ __all__ = [
     "check_registry_complete", "validate_mask_shape", "validate_scale",
     "GraphVerifier", "VerificationReport", "VerificationError", "Issue",
     "verify_graph",
-    "EffectSig", "Conflict", "RaceReport", "GRAPH_EFFECTS",
+    "EffectSig", "GRAPH_EFFECTS",
     "effect_signature", "normalize_effects", "register_graph_effect",
-    "analyze_plan", "missing_effect_signatures", "check_effects_complete",
+    "missing_effect_signatures", "check_effects_complete",
     "LintIssue", "lint_contexts",
     "LivenessReport", "estimate_liveness",
     "SourceLintIssue", "lint_span_safety", "lint_span_safety_source",

@@ -5,12 +5,12 @@ Usage::
     python -m repro.analysis                # all examples
     python -m repro.analysis resnet bert    # a subset
     python -m repro.analysis --strict       # lint warnings fail the run
-    python -m repro.analysis races          # effect/race analysis only
     python -m repro.analysis remat          # static remat schedules only
 
 For every example model the tool
 
-1. checks schema-registry completeness (every implemented op has a schema);
+1. checks schema-registry and effect-registry completeness (every
+   implemented op has a schema and an effect signature);
 2. builds the model's forward+backward graph and verifies it;
 3. instruments the graph statically with real tools (pruning + profiling —
    no kernel executes) and verifies the instrumented copy, including
@@ -18,15 +18,9 @@ For every example model the tool
 4. lints the recorded action stream for tool-composition problems;
 5. prints the static liveness/peak-memory estimate.
 
-Exit status is non-zero on verification failures or missing schemas (and on
-lint findings with ``--strict``) — suitable as a CI gate.
-
-The ``races`` subcommand runs the static effect/race analysis
-(:mod:`repro.analysis.effects`) instead: it checks effect-signature
-completeness against the schema registry and reports every conflicting op
-pair of each example's training plan.  The vanilla model zoo must report
-zero conflicts (every variable writer is ordered behind its read by a data
-edge), so any finding is a regression and fails the run.
+Exit status is non-zero on verification failures, missing schemas or
+effect signatures (and on lint findings with ``--strict``) — suitable as a
+CI gate.
 
 The ``remat`` subcommand prints each example's static rematerialization
 schedule against a memory budget instead.
@@ -144,47 +138,6 @@ def _check_effects() -> int:
     return 0
 
 
-def _races_example(name: str, build, feeds) -> int:
-    from ..graph.core import GraphTensor, plan_levels, topo_plan
-    from .effects import analyze_plan
-
-    gm = build()
-    fetches = [gm.loss] + ([gm.train_op] if gm.train_op is not None else [])
-    roots = [f.op if isinstance(f, GraphTensor) else f for f in fetches]
-    plan = topo_plan(roots)
-    report = analyze_plan(plan)
-    # the dependency levels once every conflicting pair is ordered: how much
-    # mutually independent work the plan holds
-    levels = plan_levels(plan, extra_deps=report.extra_edges)
-    status = "ok  " if report.ok else "FAIL"
-    print(f"{status} {name} ({len(levels)} levels, widest "
-          f"{max(len(level) for level in levels)}): {report}")
-    return 0 if report.ok else 1
-
-
-def _races_main(argv: list[str]) -> int:
-    examples = _build_examples()
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis races",
-        description="static effect/race analysis over the example models")
-    parser.add_argument("examples", nargs="*", metavar="example",
-                        help=f"examples to analyze (default: all of "
-                             f"{', '.join(sorted(examples))})")
-    args = parser.parse_args(argv)
-    unknown = sorted(set(args.examples) - set(examples))
-    if unknown:
-        parser.error(f"unknown example(s): {', '.join(unknown)} "
-                     f"(choose from {', '.join(sorted(examples))})")
-
-    np.seterr(all="ignore")
-    failures = _check_effects()
-    for name in args.examples or sorted(examples):
-        build, feeds = examples[name]
-        failures += _races_example(name, build, feeds)
-    print("PASS" if failures == 0 else f"FAIL ({failures} failing checks)")
-    return 0 if failures == 0 else 1
-
-
 def _remat_example(name: str, build, feeds, budget: int | None) -> int:
     from .remat import plan_remat_for_graph
 
@@ -244,8 +197,6 @@ def _remat_main(argv: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "races":
-        return _races_main(argv[1:])
     if argv and argv[0] == "remat":
         return _remat_main(argv[1:])
     examples = _build_examples()
@@ -266,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     np.seterr(all="ignore")
     selected = args.examples or sorted(examples)
     failures = _check_schemas()
+    failures += _check_effects()
     failures += _check_span_safety()
     for name in selected:
         build, feeds = examples[name]

@@ -1,13 +1,8 @@
 """Static effect system: which graph ops touch shared state.
 
-Two analyses need to know which ops of a plan touch shared state:
-
-* the rematerialization pass (:mod:`repro.analysis.remat`) may only
-  re-execute an op whose result depends on its inputs alone;
-* the order-dependence check (:func:`analyze_plan`) reports op pairs whose
-  relative order the graph does not state.
-
-The effect system supplies both:
+The rematerialization pass (:mod:`repro.analysis.remat`) may only re-execute
+an op whose result depends on its inputs alone.  The effect system tells it
+which ops those are:
 
 * every builtin graph op type has a registered **effect signature** —
   :data:`PURE` (a function of its inputs only), ``reads-state(key)`` /
@@ -17,26 +12,19 @@ The effect system supplies both:
 * tool-inserted ``PyCall`` ops carry explicit declarations
   (``Tool.effects`` → the ``effects`` tag the graph driver attaches); an
   undeclared ``PyCall`` is **opaque**;
-* :func:`analyze_plan` enumerates the *conflicting pairs* — two ops with no
-  dependency path between them where one writes a state key the other reads
-  or writes.  The serial executor runs such a pair in plan order, so a run
-  is deterministic, but that order is a tie-break of the topological sort:
-  a rewrite that reorders the plan can change what each op observes.  The
-  report carries, per pair, the edge (plan-earlier → plan-later) that would
-  make the order explicit; :func:`repro.graph.core.plan_levels` accepts
-  these edges as ``extra_deps``.
+* :func:`recomputable` admits only effect-pure ops, and pins every
+  ``PyCall`` before it reads a signature.
 
 Completeness is enforced like the op-schema registry:
 :func:`missing_effect_signatures` diffs the effect table against
-``GRAPH_SCHEMAS`` and a unit test (plus ``python -m repro.analysis races``)
-fails when an op type has a schema but no effect signature.
+``GRAPH_SCHEMAS`` and a unit test (plus ``python -m repro.analysis``) fails
+when an op type has a schema but no effect signature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from ..graph.core import SKIP_TYPES, Operation
 from .schemas import GRAPH_SCHEMAS, SchemaError
@@ -44,9 +32,8 @@ from .schemas import GRAPH_SCHEMAS, SchemaError
 __all__ = [
     "EffectSig", "PURE", "OPAQUE", "RNG_KEY", "ORDERED_EVENTS_KEY",
     "GRAPH_EFFECTS", "register_graph_effect", "effect_signature",
-    "recomputable", "normalize_effects", "Conflict", "RaceReport",
-    "analyze_plan", "missing_effect_signatures", "stale_effect_signatures",
-    "check_effects_complete",
+    "recomputable", "normalize_effects", "missing_effect_signatures",
+    "stale_effect_signatures", "check_effects_complete",
 ]
 
 #: synthetic state key modeling nondeterministic RNG stream consumption
@@ -78,15 +65,6 @@ class EffectSig:
     @property
     def pure(self) -> bool:
         return not (self.reads or self.writes or self.opaque)
-
-    @property
-    def stateful(self) -> bool:
-        return bool(self.reads or self.writes)
-
-    def conflicts_with(self, other: "EffectSig") -> frozenset:
-        """State keys on which the two signatures race when unordered."""
-        return (self.writes & (other.reads | other.writes)) \
-            | (other.writes & self.reads)
 
     def __str__(self) -> str:
         if self.opaque:
@@ -284,163 +262,3 @@ def check_effects_complete() -> None:
                         f"{sorted(stale)}")
     if problems:
         raise SchemaError("; ".join(problems))
-
-
-# ---------------------------------------------------------------------------
-# plan-level order-dependence (race) detection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Conflict:
-    """One unordered op pair racing on shared state, with provenance."""
-
-    kind: str                 # "write-write" | "read-write"
-    keys: tuple[str, ...]     # the contested state keys
-    first: str                # plan-earlier op name (runs first)
-    first_type: str
-    second: str               # plan-later op name
-    second_type: str
-
-    def __str__(self) -> str:
-        keys = ", ".join(repr(k) for k in self.keys)
-        return (f"[{self.kind}] {self.first} ({self.first_type}) ~ "
-                f"{self.second} ({self.second_type}) on state key(s) {keys}")
-
-
-@dataclass
-class RaceReport:
-    """Race-analysis result for one execution plan.
-
-    Mirrors the verifier's report shape: ``ok`` plus per-finding provenance.
-    ``extra_edges`` maps each conflict's plan-later op to the plan-earlier
-    ops it follows — the edges that would state the plan's order in the
-    graph, in the form :func:`repro.graph.core.plan_levels` accepts as
-    ``extra_deps``.
-    """
-
-    num_ops: int
-    conflicts: tuple = ()
-    #: (op name, op type, message) for every effect-opaque op in the plan
-    opaque_ops: tuple = ()
-    extra_edges: dict = field(default_factory=dict)
-    #: number of ops with a non-pure (stateful) signature
-    stateful_ops: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.conflicts and not self.opaque_ops
-
-    @property
-    def serial_only_reason(self) -> str | None:
-        """Why no reordering of the plan can be shown safe, or None.
-
-        An opaque op has unbounded effects, so only plan order is known to
-        be correct.  Conflicts alone never set this: their extra edges bound
-        them.
-        """
-        if self.opaque_ops:
-            return self.opaque_ops[0][2]
-        return None
-
-    def __str__(self) -> str:
-        if self.ok:
-            return (f"race analysis OK ({self.num_ops} ops, "
-                    f"{self.stateful_ops} stateful, no conflicting pairs)")
-        lines = [f"race analysis found {len(self.conflicts)} conflicting "
-                 f"pair(s), {len(self.opaque_ops)} opaque op(s) "
-                 f"({self.num_ops} ops, {self.stateful_ops} stateful):"]
-        lines += [f"  {conflict}" for conflict in self.conflicts]
-        lines += [f"  [opaque] {name} ({op_type}): {message}"
-                  for name, op_type, message in self.opaque_ops]
-        return "\n".join(lines)
-
-
-def analyze_plan(plan: Sequence[Operation]) -> RaceReport:
-    """Detect state races between unordered op pairs of a topological plan.
-
-    Two ops conflict when no dependency path (data or control) connects them
-    and one writes a state key the other reads or writes.  The serial
-    executor runs them in plan order; for every conflicting pair the report
-    carries the edge from the plan-earlier op to the plan-later op that
-    would pin that order in the graph.
-    """
-    readers: dict[str, list[int]] = {}
-    writers: dict[str, list[int]] = {}
-    opaque: list[tuple[str, str, str]] = []
-    stateful = 0
-    for i, op in enumerate(plan):
-        sig = effect_signature(op)
-        if sig.opaque:
-            if op.type == "PyCall":
-                message = (f"PyCall op {op.name!r} without declared effects "
-                           "(no Tool.effects declaration)")
-            else:
-                message = (f"op {op.name!r} ({op.type}) has no registered "
-                           "effect signature")
-            opaque.append((op.name, op.type, message))
-            continue
-        if sig.stateful:
-            stateful += 1
-            for key in sig.reads:
-                readers.setdefault(key, []).append(i)
-            for key in sig.writes:
-                writers.setdefault(key, []).append(i)
-
-    # candidate pairs per contested key: write-write and write-read
-    pairs: dict[tuple[int, int], dict] = {}
-
-    def _candidate(a: int, b: int, kind: str, key: str) -> None:
-        if a == b:
-            return
-        if a > b:
-            a, b = b, a
-        entry = pairs.setdefault((a, b), {"kinds": set(), "keys": set()})
-        entry["kinds"].add(kind)
-        entry["keys"].add(key)
-
-    for key, key_writers in writers.items():
-        writer_set = set(key_writers)
-        for a, b in combinations(key_writers, 2):
-            _candidate(a, b, "write-write", key)
-        for w in key_writers:
-            for r in readers.get(key, ()):
-                if r not in writer_set:
-                    _candidate(w, r, "read-write", key)
-
-    if not pairs:
-        return RaceReport(len(plan), opaque_ops=tuple(opaque),
-                          stateful_ops=stateful)
-
-    # ancestor reachability over the plan as per-op bitsets: plan order is
-    # topological, so op j can only descend from i < j and one linear pass
-    # suffices.  reach[i] has bit k set iff k is i or an ancestor of i.
-    index = {op.name: i for i, op in enumerate(plan)}
-    reach: list[int] = [0] * len(plan)
-    for i, op in enumerate(plan):
-        mask = 1 << i
-        for edge in op.inputs:
-            j = index.get(edge.op.name)
-            if j is not None:
-                mask |= reach[j]
-        for dep in op.control_inputs:
-            j = index.get(dep.name)
-            if j is not None:
-                mask |= reach[j]
-        reach[i] = mask
-
-    conflicts: list[Conflict] = []
-    extra_edges: dict[str, list[str]] = {}
-    for (a, b), entry in sorted(pairs.items()):
-        if (reach[b] >> a) & 1:
-            continue  # a dependency path already orders the pair
-        kind = "write-write" if "write-write" in entry["kinds"] \
-            else "read-write"
-        conflicts.append(Conflict(kind, tuple(sorted(entry["keys"])),
-                                  plan[a].name, plan[a].type,
-                                  plan[b].name, plan[b].type))
-        extra_edges.setdefault(plan[b].name, []).append(plan[a].name)
-
-    return RaceReport(len(plan), tuple(conflicts), tuple(opaque),
-                      {name: tuple(deps)
-                       for name, deps in extra_edges.items()},
-                      stateful)

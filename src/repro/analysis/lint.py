@@ -23,12 +23,7 @@ and flags compositions that are legal individually but wrong together:
   shared per-iteration state later changes replay behavior without
   invalidating the plan.  Private single-use snapshots (a dict built inside
   the analysis routine) and ndarrays are exempt — snapshotting into kwargs
-  is the established cache-safe idiom (see ``cache-unsafe-context``);
-* ``effect-conflict`` — two tools acting on the same operator declare
-  effects (``Tool.effects``) that race: one writes a state key the other
-  reads or writes.  The composition still runs, its PyCalls in plan order,
-  but each tool observes the other's state mutations in that order —
-  usually a sign the composition was not designed together.
+  is the established cache-safe idiom (see ``cache-unsafe-context``).
 
 Lints are warnings, not errors — :func:`lint_contexts` returns the issue list
 and never raises.
@@ -37,7 +32,6 @@ and never raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from ..core.actions import ActionType
@@ -95,16 +89,6 @@ def lint_contexts(contexts: Iterable[OpContext],
     fetch_ops = {name.partition(":")[0] for name in fetch_names}
     issues: list[LintIssue] = []
     contexts = list(contexts)
-
-    # tool name -> normalized declared effect signature (Tool.effects)
-    declared_effects = {}
-    if manager is not None:
-        from .effects import normalize_effects
-        for tool in getattr(manager, "tools", ()):
-            declaration = getattr(tool, "effects", None)
-            if declaration is not None:
-                declared_effects[tool.name] = normalize_effects(declaration)
-    reported_pairs: set[frozenset] = set()
 
     # identity-count every mutable kwargs container across the whole stream:
     # a container referenced by more than one action is shared state whose
@@ -173,25 +157,6 @@ def lint_contexts(contexts: Iterable[OpContext],
                         "invalidating the plan — snapshot into an ndarray or "
                         "pass immutable values",
                         (_tool_name(action),)))
-
-        if declared_effects:
-            acting = sorted({_tool_name(a) for a in actions
-                             if _tool_name(a) in declared_effects})
-            for first, second in combinations(acting, 2):
-                pair = frozenset((first, second))
-                if pair in reported_pairs:
-                    continue
-                contested = declared_effects[first].conflicts_with(
-                    declared_effects[second])
-                if contested:
-                    reported_pairs.add(pair)
-                    keys = ", ".join(repr(k) for k in sorted(contested))
-                    issues.append(LintIssue(
-                        "effect-conflict", name, op_type,
-                        f"tools declare racing effects on state key(s) "
-                        f"{keys}; their PyCalls run in plan order and each "
-                        "observes the other's mutations",
-                        (first, second)))
 
         if cache_enabled and context.has_user_state and actions:
             # state baked into an action's kwargs is snapshotted at rewrite

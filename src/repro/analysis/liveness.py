@@ -1,18 +1,19 @@
 """Static liveness and peak-activation-memory estimation.
 
-Replays the session's scheduling model symbolically: ops execute in the same
+Replays the session's execution symbolically: ops execute in the same
 depth-first topological order ``Session._plan`` would produce for the given
 fetches (both share :func:`repro.graph.core.topo_plan`), every op's outputs
-are allocated when it runs, and they are freed right after their last
-consumer runs (fetched tensors live until the end).  Tensor sizes come from
-the schema shape inference (:mod:`repro.analysis.verify`), so the whole
-estimate needs no kernel execution — checkmate-style static dataflow analysis
-over the DNN graph.
+are allocated when it runs, and they are freed where the executor frees
+them: :func:`repro.graph.core.lifetime_rule` gives the release steps, so the
+estimate follows the same lifetime rule as a real run (fetched tensors live
+until the end).  Tensor sizes come from the schema shape inference
+(:mod:`repro.analysis.verify`), so the whole estimate needs no kernel
+execution — checkmate-style static dataflow analysis over the DNN graph.
 
 Two schedule modes:
 
-* ``schedule_mode="serial"`` (default) frees each intermediate right after
-  its last consuming op — the classic estimate;
+* ``schedule_mode="serial"`` (default) is the planner's schedule with
+  nothing evicted: each intermediate is freed right after its last use;
 * ``schedule_mode="remat"`` runs the static rematerialization planner
   (:mod:`repro.analysis.remat`) against ``budget`` and reports the
   *budgeted* schedule: the instance order (recomputes repeated), its
@@ -20,10 +21,12 @@ Two schedule modes:
   itself on ``report.remat``.  With ``budget=0`` it reports the planner's
   floor — the smallest peak maximal eviction can reach.
 
-The result is directly comparable to the *dynamic* activation-liveness peak
-measured by :class:`repro.tools.memory.MemoryProfilingTool` (same
-alloc-at-producer / free-after-last-consumer model); a unit test cross-checks
-the two on the same workload.
+Both modes sweep the instance list with the executor's accounting
+(:func:`repro.analysis.remat.schedule_peak`).  The result is directly
+comparable to the *dynamic* activation-liveness peak measured by
+:class:`repro.tools.memory.MemoryProfilingTool` (same
+alloc-at-producer / free-after-last-consumer model); a unit test
+cross-checks the two on the same workload.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ..graph.core import SKIP_TYPES, Graph, GraphTensor, Operation, topo_plan
+from ..graph.core import (ALIASING_TYPES, SKIP_TYPES, Graph, GraphTensor,
+                          Operation, lifetime_rule, topo_plan)
+from . import remat
 from .schemas import numel
 from .verify import GraphVerifier
 
@@ -120,10 +125,9 @@ def estimate_liveness(graph: Graph, fetches=None,
 
     plan = _schedule(graph, fetches)
     include = set(include_types) if include_types is not None else None
-    exclude = set(exclude_types) | set(SKIP_TYPES)
+    # wrappers carry nothing and an Identity output is its own input
+    exclude = set(exclude_types) | SKIP_TYPES | ALIASING_TYPES
     report = LivenessReport()
-    position = {op.name: i for i, op in enumerate(plan)}
-    report.schedule = [op.name for op in plan]
 
     # bytes per op (sum over outputs); None shape -> unknown, counted 0
     for op in plan:
@@ -143,79 +147,41 @@ def estimate_liveness(graph: Graph, fetches=None,
             report.unknown_ops.append(op.name)
         report.output_bytes[op.name] = total
 
-    # last consumer within the schedule; fetched ops live to the end
+    # the executor's releases: the planner's schedule in remat mode, the
+    # plan itself with nothing evicted in serial mode
     fetched = set() if fetches is None else {
         (fetch.op.name if isinstance(fetch, GraphTensor)
          else fetch.name if isinstance(fetch, Operation)
          else str(fetch).partition(":")[0])
         for fetch in fetches}
+    bytes_of = [report.output_bytes[op.name] for op in plan]
     if schedule_mode == "remat":
-        _sweep_remat(report, plan, fetched, budget)
-        return report
+        schedule = remat.plan_remat(plan, sorted(fetched), budget,
+                                    report.output_bytes)
+        report.budget = budget
+        report.remat = schedule
+        instances = schedule.instances
+        releases = schedule.release_after_step
+    else:
+        instances = list(range(len(plan)))
+        releases = lifetime_rule(plan, fetched)().release_after_step
+    report.schedule = [plan[j].name for j in instances]
+    report.peak_bytes, report.peak_step = remat.schedule_peak(
+        instances, releases, bytes_of)
+    if report.peak_step >= 0:
+        report.peak_op = report.schedule[report.peak_step]
 
-    last: dict[str, int] = {}
-    for op in plan:
-        last[op.name] = len(plan) - 1 if op.name in fetched \
-            else position[op.name]
-    for op in plan:
-        for edge in op.inputs:
-            if edge.op.name in position:
-                last[edge.op.name] = max(last[edge.op.name],
-                                         position[op.name])
-    for op in plan:
-        report.lifetime[op.name] = (position[op.name], last[op.name])
-
-    # sweep: alloc at producer, free after last consumer
-    frees: dict[int, list[str]] = {}
-    for name, (_, end) in report.lifetime.items():
-        frees.setdefault(end, []).append(name)
-    live = 0
-    for step, op in enumerate(plan):
-        live += report.output_bytes[op.name]
-        if live > report.peak_bytes:
-            report.peak_bytes = live
-            report.peak_step = step
-            report.peak_op = op.name
-        for name in frees.get(step, ()):
-            live -= report.output_bytes[name]
-    return report
-
-
-def _sweep_remat(report: LivenessReport, plan: list[Operation],
-                 fetched: set[str], budget: int) -> None:
-    """Budgeted sweep: replay the rematerialization planner's schedule.
-
-    The planner consumes this report's own per-op byte accounting (so the
-    include/exclude knobs apply).
-    ``lifetime`` maps each op to (first birth, last release) across all of
-    its incarnations.
-    """
-    from .remat import plan_remat  # local: liveness is imported by remat CLI
-    schedule = plan_remat(plan, sorted(fetched), budget, report.output_bytes)
-    report.budget = budget
-    report.remat = schedule
-    report.schedule = [plan[j].name for j in schedule.instances]
-    live = 0
-    for t, j in enumerate(schedule.instances):
-        live += report.output_bytes[plan[j].name]
-        if live > report.peak_bytes:
-            report.peak_bytes = live
-            report.peak_step = t
-            report.peak_op = plan[j].name
-        for u in schedule.release_after_step[t]:
-            live -= report.output_bytes[plan[schedule.instances[u]].name]
+    # lifetime: (first birth, last release) across an op's incarnations
+    last = len(instances) - 1
     births: dict[str, int] = {}
     ends: dict[str, int] = {}
-    for t, j in enumerate(schedule.instances):
-        name = plan[j].name
+    for t, name in enumerate(report.schedule):
         births.setdefault(name, t)
-        ends[name] = t
-    for t, released in enumerate(schedule.release_after_step):
+        ends[name] = last if name in fetched else t
+    for t, released in enumerate(releases):
         for u in released:
-            name = plan[schedule.instances[u]].name
+            name = report.schedule[u]
             ends[name] = max(ends[name], t)
-    for name in report.schedule:
-        if name in fetched:
-            ends[name] = len(schedule.instances) - 1
     for op in plan:
         report.lifetime[op.name] = (births[op.name], ends[op.name])
+    return report

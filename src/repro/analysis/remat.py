@@ -13,11 +13,11 @@ The planner is checkmate-flavoured static scheduling seeded with Chen's
 
 1. **Candidates** are the effect-pure ops (:func:`repro.analysis.effects
    .recomputable`) that are not fetched and produce known, non-zero bytes.
-   State readers/writers, RNG consumers (unseeded dropout), opaque ops and
-   ``PyCall`` instrumentation points are *pinned*: they execute exactly once
-   and their outputs are only freed after their last (possibly recompute)
-   reader.  Seeded dropout is a candidate — its recompute replays the
-   stashed seed.
+   State readers/writers, RNG consumers (unseeded dropout), opaque ops,
+   ``PyCall`` instrumentation points and the captured ops that touch the
+   run's stash table are *pinned*: they execute exactly once and their
+   outputs are only freed after their last (possibly recompute) reader.
+   Seeded dropout is a candidate — its recompute replays the stashed seed.
 2. **Seed**: evict every candidate, materialize the instance schedule with a
    read-locality window of :math:`\\lceil\\sqrt{n}\\rceil` base steps (reads
    closer than the window share one incarnation; a farther read triggers a
@@ -33,35 +33,42 @@ Materialization is *lazy*: the base plan is replayed in order and, before an
 op runs, every dead input producer is re-emitted together with its dead
 ancestor closure (ascending base order, which is valid because the base plan
 is topological).  Releases are then derived **post hoc** from the finished
-instance schedule — each incarnation is freed right after its last actual
-reader — so pinned ancestors needed by a recompute automatically live long
-enough, and the simulated peak (``serial_peak``, the planner's objective)
-mirrors the executor's accounting exactly (see ``Session._execute``).
+instance list by the executor's own lifetime rule
+(:func:`repro.graph.core.lifetime_rule`): each incarnation is freed after
+its last reader, a pass-through ``PyCall``/``Identity`` keeps the
+incarnations it read counted while its output lives, and a captured forward
+op's stash holds its incarnations until the stash's last reader.  Pinned
+ancestors needed by a recompute therefore live long enough, and the
+simulated peak (``serial_peak``, the planner's objective) is the peak the
+executor tracks on vanilla, instrumented and captured graphs alike.
 
-The resulting :class:`RematSchedule` lowers directly onto the slot table:
+The resulting :class:`RematSchedule` is the instance list the executor runs:
 ``instances`` duplicates plan positions (a recompute is an extra slot-table
-entry republishing the same slots) and ``release_after_step`` drives the
-executor's per-step frees.  The schedule's releases follow data reads only:
-they do not model a ``PyCall``/``Identity`` alias or a captured forward op's
-``OpCtx`` stash, which the unbudgeted executor keeps counted.
+entry) and ``release_after_step`` holds the releases it will make.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from ..graph.core import SKIP_TYPES, Graph, GraphTensor, Operation, topo_plan
+from ..graph.core import (SKIP_TYPES, Graph, GraphTensor, Lifetimes,
+                          Operation, lifetime_rule, topo_plan)
 from .effects import recomputable
 from .schemas import numel
 from .verify import GraphVerifier
 
 __all__ = ["RematSchedule", "plan_remat", "plan_remat_for_graph",
-           "op_costs"]
+           "op_costs", "schedule_peak"]
 
 #: every value in the reproduction is float64
 _DTYPE_BYTES = 8
+
+#: op types whose outputs are never fresh bytes: a ``Variable`` read returns
+#: the stored array, an ``Identity`` output is its input, and ``PyCall``/
+#: ``NoOp`` wrappers pass their inputs through or carry nothing
+_NO_FRESH_BYTES = SKIP_TYPES | {"Variable", "Identity"}
 
 #: greedy-refinement trial bound: only the costliest evictions are
 #: reconsidered, so pathological plans cannot make compilation quadratic
@@ -109,10 +116,11 @@ def op_costs(plan: Sequence[Operation], graph: Graph,
     """``(bytes_of, flops_of, unknown)`` per op name for a compiled plan.
 
     Byte accounting mirrors the executor's allocation tracker: ``Variable``
-    reads alias the store (never counted as fresh), ``PyCall``/``NoOp``
-    wrappers alias or carry nothing, and everything else — placeholders,
-    constants, activations — counts its full output bytes.  Ops with
-    uninferrable shapes contribute 0 bytes and are listed in ``unknown``.
+    reads alias the store and an ``Identity`` output is its own input (never
+    counted as fresh), ``PyCall``/``NoOp`` wrappers alias or carry nothing,
+    and everything else — placeholders, constants, activations — counts its
+    full output bytes.  Ops with uninferrable shapes contribute 0 bytes and
+    are listed in ``unknown``.
     """
     verifier = GraphVerifier(graph, feed_shapes=feed_shapes)
     verifier.run()
@@ -122,7 +130,7 @@ def op_costs(plan: Sequence[Operation], graph: Graph,
     unknown: list[str] = []
     for op in plan:
         flops_of[op.name] = _op_flops(op, shapes)
-        if op.type == "Variable" or op.type in SKIP_TYPES:
+        if op.type in _NO_FRESH_BYTES:
             bytes_of[op.name] = 0
             continue
         total = 0
@@ -254,33 +262,30 @@ def _materialize(n: int, data_inputs: list[tuple[int, ...]],
     return instances
 
 
-def _lower(instances: list[int], n: int, ops: Sequence[Operation],
-           data_inputs: list[tuple[int, ...]], bytes_of: list[int],
-           fetched: set[int], budget: int) -> RematSchedule:
-    """Derive releases and the simulated peak post hoc."""
-    m = len(instances)
-    cur: list[int | None] = [None] * n
-    last_reader = list(range(m))
-    for t, j in enumerate(instances):
-        for dep in data_inputs[j]:
-            u = cur[dep]
-            assert u is not None, "materialized schedule broke liveness"
-            last_reader[u] = t
-        cur[j] = t
+def schedule_peak(instances: Sequence[int],
+                  release_after_step: Sequence[Sequence[int]],
+                  bytes_of: Sequence[int]) -> tuple[int, int]:
+    """Peak live bytes of a schedule and the first step reaching it.
 
-    # free each incarnation after its last reader
-    release_after_step: list[list[int]] = [[] for _ in range(m)]
-    for t, j in enumerate(instances):
-        if j not in fetched:
-            release_after_step[last_reader[t]].append(t)
-    serial_peak = live = 0
+    ``bytes_of`` is indexed by plan position; the step is -1 when no byte is
+    ever live.  This is the executor's accounting: an instance allocates its
+    op's bytes when it runs and returns them at its release step.
+    """
+    peak, peak_step, live = 0, -1, 0
     for t, j in enumerate(instances):
         live += bytes_of[j]
-        if live > serial_peak:
-            serial_peak = live
+        if live > peak:
+            peak, peak_step = live, t
         for u in release_after_step[t]:
             live -= bytes_of[instances[u]]
+    return peak, peak_step
 
+
+def _lower(plan: Sequence[Operation], lifetimes: Callable[..., Lifetimes],
+           instances: list[int], bytes_of: list[int],
+           budget: int) -> RematSchedule:
+    """Take the executor's releases for ``instances`` and simulate its peak."""
+    releases = lifetimes(instances).release_after_step
     seen: set[int] = set()
     is_recompute = []
     for j in instances:
@@ -290,11 +295,11 @@ def _lower(instances: list[int], n: int, ops: Sequence[Operation],
         budget=budget,
         instances=instances,
         is_recompute=is_recompute,
-        release_after_step=[tuple(step) for step in release_after_step],
-        evicted=tuple(sorted({ops[j].name
+        release_after_step=releases,
+        evicted=tuple(sorted({plan[j].name
                               for t, j in enumerate(instances)
                               if is_recompute[t]})),
-        serial_peak=serial_peak,
+        serial_peak=schedule_peak(instances, releases, bytes_of)[0],
     )
 
 
@@ -327,8 +332,10 @@ def plan_remat(plan: Sequence[Operation], fetch_ops: Sequence[str],
                 deps.append(j)
         data_inputs.append(tuple(deps))
 
+    lifetimes = lifetime_rule(ops, fetch_ops)
+
     def lower(instances: list[int]) -> RematSchedule:
-        return _lower(instances, n, ops, data_inputs, b, fetched, budget)
+        return _lower(ops, lifetimes, instances, b, budget)
 
     def finish(schedule: RematSchedule,
                baseline: RematSchedule) -> RematSchedule:
@@ -344,8 +351,15 @@ def plan_remat(plan: Sequence[Operation], fetch_ops: Sequence[str],
     if baseline.serial_peak <= budget:
         return finish(baseline, baseline)
 
+    # ops that touch the stash table run exactly once: a stash keeps its
+    # forward op's values live until its last reader anyway, and it is
+    # dropped by the name of that reader, so no reader may run twice
+    readers = [op for op in ops if "forward_name" in op.attrs]
+    touch_stash = ({op.name for op in readers}
+                   | {op.attrs["forward_name"] for op in readers})
     candidates = [i for i, op in enumerate(ops)
-                  if i not in fetched and b[i] > 0 and recomputable(op)]
+                  if i not in fetched and b[i] > 0
+                  and op.name not in touch_stash and recomputable(op)]
     if not candidates:
         return finish(baseline, baseline)
 

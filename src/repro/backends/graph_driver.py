@@ -86,7 +86,8 @@ class GraphDriver(BackendDriver):
         self.last_contexts: list[OpContext] = []
         #: tool name -> declared effect signature (``Tool.effects``), rebuilt
         #: per rewrite and stamped onto every realized PyCall as its
-        #: ``effects`` tag for the race analysis
+        #: ``effects`` tag; nothing reads the tag, because the remat planner
+        #: pins every PyCall before it looks at a signature
         self._tool_effects: dict[str, object] = {}
         #: compiled plans of the most recent rewrite (plan_stats input)
         self.last_plans: list[ExecutionPlan] = []

@@ -21,9 +21,10 @@ imported.
 Each captured forward op hands its ``OpCtx`` to its backward ops through the
 run's stash table (``_Runtime.stash``).  The compiled plan decides the
 stash's lifetime: a forward op stashes only when a backward op of the plan
-reads it, and the plan's last such reader removes the entry.  The executor
-keeps the forward op's inputs and outputs counted as live until then, since
-the ``OpCtx`` may hold them (see :mod:`repro.graph.session`).
+reads it, and the plan's last such reader removes the entry, with or
+without a memory budget.  The executor keeps the forward op's inputs and
+outputs counted as live until then, since the ``OpCtx`` may hold them (see
+:func:`repro.graph.core.lifetime_rule`).
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ The knobs here tune *how* the framework executes without changing *what* it
 computes.  Each knob reads its default from an ``AMANDA_*`` environment
 variable at import time so deployments can flip behavior without touching
 code, and exposes a scoped context manager for tests and per-run overrides.
+One table (:data:`KNOBS`) declares every knob once — its ``Config`` field,
+environment variable, default and parser — and the env parsing, ``repr``
+and scoped overrides all loop over it.
 
 Current knobs:
 
@@ -47,26 +50,30 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 __all__ = ["Config", "config", "plan_cache_size", "capture_enabled",
            "serve_workers", "sample_rate", "serve_batch", "memory_budget"]
 
 
-def _parse_workers(value: str | int | None, default: int) -> int:
-    """Parse a worker-count setting; invalid or missing keeps the default."""
+def _parse_int(value: str | int | None, default: int, minimum: int) -> int:
+    """Parse an integer clamped to ``minimum``; invalid or missing keeps the
+    default."""
     if value is None:
         return default
-    if isinstance(value, str):
-        value = value.strip().lower()
-        if not value:
-            return default
-        if value == "auto":
-            return max(1, os.cpu_count() or 1)
     try:
-        workers = int(value)
+        number = int(value)
     except (TypeError, ValueError):
         return default
-    return max(1, workers)
+    return max(minimum, number)
+
+
+def _parse_workers(value: str | int | None, default: int) -> int:
+    """Parse a worker count: ``"auto"`` is the CPU count, else an int >= 1."""
+    if isinstance(value, str) and value.strip().lower() == "auto":
+        return max(1, os.cpu_count() or 1)
+    return _parse_int(value, default, minimum=1)
 
 
 def _parse_flag(value: str | bool | None, default: bool = True) -> bool:
@@ -81,28 +88,6 @@ def _parse_flag(value: str | bool | None, default: bool = True) -> bool:
     if text in ("0", "false", "off", "no"):
         return False
     return default
-
-
-def _parse_bound(value: str | int | None, default: int) -> int:
-    """Parse a positive cache bound; invalid or missing keeps the default."""
-    if value is None:
-        return default
-    try:
-        bound = int(value)
-    except (TypeError, ValueError):
-        return default
-    return max(1, bound)
-
-
-def _parse_rate(value: str | int | None, default: int) -> int:
-    """Parse a non-negative 1-in-N sampling rate (0 = never sample)."""
-    if value is None:
-        return default
-    try:
-        rate = int(value)
-    except (TypeError, ValueError):
-        return default
-    return max(0, rate)
 
 
 def _parse_bytes(value: str | int | None, default: int = 0) -> int:
@@ -127,104 +112,94 @@ def _parse_bytes(value: str | int | None, default: int = 0) -> int:
         return default
 
 
+class Knob(NamedTuple):
+    """One runtime knob: its ``Config`` field, env variable and parser."""
+
+    field: str
+    env: str
+    default: Any
+    #: ``parse(value, default)``: a missing or invalid value keeps the default
+    parse: Callable[[Any, Any], Any]
+
+
+#: every knob, declared once (the order of ``vars(config)``)
+KNOBS = (
+    Knob("plan_cache_size", "AMANDA_PLAN_CACHE_SIZE", 64,
+         partial(_parse_int, minimum=1)),
+    Knob("capture", "AMANDA_CAPTURE", True, _parse_flag),
+    Knob("serve_workers", "AMANDA_SERVE_WORKERS", 2, _parse_workers),
+    Knob("sample_rate", "AMANDA_SAMPLE_RATE", 1,
+         partial(_parse_int, minimum=0)),
+    Knob("serve_batch", "AMANDA_SERVE_BATCH", 8,
+         partial(_parse_int, minimum=1)),
+    Knob("memory_budget", "AMANDA_MEMORY_BUDGET", 0, _parse_bytes),
+)
+
+
 class Config:
     """Process-global runtime knobs, env-seeded and scope-overridable."""
+
+    # the fields' types, for static checkers: ``refresh_from_env`` sets them
+    # from ``KNOBS`` by name
+    plan_cache_size: int
+    capture: bool
+    serve_workers: int
+    sample_rate: int
+    serve_batch: int
+    memory_budget: int
 
     def __init__(self) -> None:
         self.refresh_from_env()
 
     def refresh_from_env(self) -> None:
         """Re-read every knob from its environment variable."""
-        self.plan_cache_size = _parse_bound(
-            os.environ.get("AMANDA_PLAN_CACHE_SIZE"), default=64)
-        self.capture = _parse_flag(os.environ.get("AMANDA_CAPTURE"))
-        self.serve_workers = _parse_workers(
-            os.environ.get("AMANDA_SERVE_WORKERS"), default=2)
-        self.sample_rate = _parse_rate(
-            os.environ.get("AMANDA_SAMPLE_RATE"), default=1)
-        self.serve_batch = _parse_bound(
-            os.environ.get("AMANDA_SERVE_BATCH"), default=8)
-        self.memory_budget = _parse_bytes(
-            os.environ.get("AMANDA_MEMORY_BUDGET"), default=0)
+        for knob in KNOBS:
+            setattr(self, knob.field,
+                    knob.parse(os.environ.get(knob.env), knob.default))
 
     def __repr__(self) -> str:
-        return (f"Config(plan_cache_size={self.plan_cache_size}, "
-                f"capture={self.capture}, "
-                f"serve_workers={self.serve_workers}, "
-                f"sample_rate={self.sample_rate}, "
-                f"serve_batch={self.serve_batch}, "
-                f"memory_budget={self.memory_budget})")
+        return "Config(" + ", ".join(
+            f"{knob.field}={getattr(self, knob.field)}"
+            for knob in KNOBS) + ")"
 
 
 #: process-global configuration instance (``amanda.config``)
 config = Config()
 
 
-@contextmanager
-def plan_cache_size(bound: int):
-    """Scope-override the plan-cache LRU bound."""
-    previous = config.plan_cache_size
-    config.plan_cache_size = _parse_bound(bound, default=previous)
-    try:
-        yield config
-    finally:
-        config.plan_cache_size = previous
+def _scoped(field: str, doc: str):
+    """A context manager that overrides ``config.<field>`` for its scope.
 
-
-@contextmanager
-def capture_enabled(enabled: bool):
-    """Scope-override the symbolic-capture knob (``amanda.capture_enabled``)."""
-    previous = config.capture
-    config.capture = _parse_flag(enabled)
-    try:
-        yield config
-    finally:
-        config.capture = previous
-
-
-@contextmanager
-def serve_workers(workers: int | str):
-    """Scope-override the serving worker count (``amanda.serve_workers``)."""
-    previous = config.serve_workers
-    config.serve_workers = _parse_workers(workers, default=previous)
-    try:
-        yield config
-    finally:
-        config.serve_workers = previous
-
-
-@contextmanager
-def sample_rate(rate: int):
-    """Scope-override the 1-in-N instrumentation sampling rate."""
-    previous = config.sample_rate
-    config.sample_rate = _parse_rate(rate, default=previous)
-    try:
-        yield config
-    finally:
-        config.sample_rate = previous
-
-
-@contextmanager
-def memory_budget(budget: int | str):
-    """Scope-override the executor memory budget (``amanda.memory_budget``).
-
-    Accepts bytes or a ``K``/``M``/``G``-suffixed string; ``0`` disables
-    budgeting for the scope.
+    The new value goes through the knob's parser; one it cannot parse keeps
+    the current value.
     """
-    previous = config.memory_budget
-    config.memory_budget = _parse_bytes(budget, default=previous)
-    try:
-        yield config
-    finally:
-        config.memory_budget = previous
+    knob = next(knob for knob in KNOBS if knob.field == field)
+
+    @contextmanager
+    def override(value):
+        previous = getattr(config, field)
+        setattr(config, field, knob.parse(value, previous))
+        try:
+            yield config
+        finally:
+            setattr(config, field, previous)
+
+    override.__doc__ = doc
+    return override
 
 
-@contextmanager
-def serve_batch(size: int):
-    """Scope-override how many same-key requests a worker takes at once."""
-    previous = config.serve_batch
-    config.serve_batch = _parse_bound(size, default=previous)
-    try:
-        yield config
-    finally:
-        config.serve_batch = previous
+plan_cache_size = _scoped(
+    "plan_cache_size", "Scope-override the plan-cache LRU bound.")
+capture_enabled = _scoped(
+    "capture", "Scope-override the symbolic-capture knob.")
+serve_workers = _scoped(
+    "serve_workers", "Scope-override the serving worker count.")
+sample_rate = _scoped(
+    "sample_rate", "Scope-override the 1-in-N instrumentation sampling rate.")
+serve_batch = _scoped(
+    "serve_batch",
+    "Scope-override how many same-key requests a worker takes at once.")
+memory_budget = _scoped(
+    "memory_budget",
+    "Scope-override the executor memory budget: bytes or a "
+    "``K``/``M``/``G``-suffixed string; ``0`` disables budgeting.")

@@ -19,13 +19,15 @@ the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable
+from collections import defaultdict
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = ["Graph", "GraphTensor", "Operation", "VariableStore",
            "default_graph", "get_default_graph", "GraphFinalizedError",
-           "SKIP_TYPES", "topo_plan", "plan_levels"]
+           "SKIP_TYPES", "ALIASING_TYPES", "topo_plan", "lifetime_rule",
+           "Lifetimes"]
 
 #: op types the instrumentation machinery never analyzes or re-instruments:
 #: ``PyCall`` nodes are themselves instrumentation artifacts and ``NoOp``
@@ -68,43 +70,113 @@ def topo_plan(roots: Iterable["Operation"]) -> list["Operation"]:
     return plan
 
 
-def plan_levels(plan: list["Operation"],
-                extra_deps: dict | None = None) -> list[list["Operation"]]:
-    """Partition a topological plan into dependency levels.
+#: op types whose output may be one of their inputs (the same array)
+ALIASING_TYPES = frozenset({"PyCall", "Identity"})
 
-    Level ``L`` holds every op whose longest dependency chain within the plan
-    has length ``L``; the ops of one level are mutually independent (no data
-    or control path connects them).  Within a level, ops keep their plan
-    order, so the partition is deterministic.
 
-    ``extra_deps`` (op name -> iterable of predecessor op names) adds edges
-    beyond the graph's own data/control edges without mutating the
-    (finalized) graph — e.g. the order-pinning edges of the race analysis
-    (:func:`repro.analysis.effects.analyze_plan`).  Every extra predecessor
-    must precede its op in ``plan``; one that does not (a typo'd or stale
-    edge) raises :class:`ValueError` instead of being silently dropped.
+class Lifetimes(NamedTuple):
+    """When each value of a plan is read and freed (:func:`lifetime_rule`)."""
+
+    #: per instance step, the instance each data input edge reads
+    reads: list[list[int]]
+    #: per instance step, the instances whose outputs are freed after it
+    release_after_step: list[tuple[int, ...]]
+    #: forward ops whose ``OpCtx`` stash some backward op of the plan reads
+    stashers: frozenset
+    #: the backward ops that read their stash last and drop it
+    stash_drops: frozenset
+
+
+def lifetime_rule(plan: Sequence["Operation"], fetched: Iterable[str] = ()
+                  ) -> Callable[..., Lifetimes]:
+    """The lifetime rule of a topological plan: when each value dies.
+
+    Returns ``lifetimes(instances=None) -> Lifetimes``.  ``instances`` lists
+    the plan positions executed in order: the identity when ``None``, while a
+    rematerialization schedule repeats the positions of the ops it
+    recomputes.  Every executed instance is one *incarnation* of its op's
+    outputs, and a data input reads the incarnation its producer published
+    last.  An incarnation dies after the last instance that reads it (its
+    own step when none does), extended so that a run never drops bytes it
+    still holds:
+
+    * a captured backward op names the forward op whose ``OpCtx`` stash it
+      reads in ``attrs["forward_name"]``.  The stash may hold the forward
+      op's inputs and outputs, so those incarnations live until the stash's
+      last reader, which then drops the stash;
+    * a ``PyCall`` or ``Identity`` output may be its own input, so the
+      incarnations such an op reads live as long as its output does.
+
+    Fetched ops (names in ``fetched``) are never freed: the run returns them.
+    The executor (:class:`repro.graph.session.CompiledPlan`), the
+    rematerialization planner and the liveness estimator all take their
+    releases from here; the planner evaluates many instance lists of one
+    plan, so the per-op facts are gathered once, here.
     """
-    level: dict[str, int] = {}
-    levels: list[list[Operation]] = []
-    for op in plan:
-        depth = 0
-        for edge in op.inputs:
-            depth = max(depth, level[edge.op.name] + 1)
-        for dep in op.control_inputs:
-            depth = max(depth, level[dep.name] + 1)
-        if extra_deps:
-            for name in extra_deps.get(op.name, ()):
-                prior = level.get(name)
-                if prior is None:
-                    raise ValueError(
-                        f"extra_deps predecessor {name!r} of op "
-                        f"{op.name!r} does not precede it in the plan")
-                depth = max(depth, prior + 1)
-        level[op.name] = depth
-        if depth == len(levels):
-            levels.append([])
-        levels[depth].append(op)
-    return levels
+    position = {op.name: i for i, op in enumerate(plan)}
+    inputs_of = [[position[edge.op.name] for edge in op.inputs]
+                 for op in plan]
+    fetched_names = set(fetched)
+    kept = [op.name in fetched_names for op in plan]
+    aliasing = [op.type in ALIASING_TYPES for op in plan]
+    stash_of: dict[int, tuple[str, int]] = {}   # reader -> (forward, pos)
+    for j, op in enumerate(plan):
+        forward = op.attrs.get("forward_name")
+        if forward is not None:
+            stash_of[j] = (forward, position.get(forward, -1))
+    stashers = frozenset(forward for forward, _ in stash_of.values())
+
+    def lifetimes(instances: Sequence[int] | None = None) -> Lifetimes:
+        if instances is None:
+            instances = range(len(plan))
+        current = [-1] * len(plan)      # incarnation each op published last
+        reads: list[list[int]] = []
+        end: list[int] = []
+        held: dict[int, int] = {}       # stashed incarnation -> last reader
+        last_reader: dict[str, int] = {}
+        kept_steps: list[int] = []
+        alias_steps: list[int] = []
+        for t, j in enumerate(instances):
+            read = [current[i] for i in inputs_of[j]]
+            assert -1 not in read, "an input runs after its reader"
+            for u in read:
+                end[u] = t
+            reads.append(read)
+            end.append(t)
+            current[j] = t
+            if kept[j]:
+                kept_steps.append(t)
+            if aliasing[j]:
+                alias_steps.append(t)
+            if j in stash_of:
+                forward, i = stash_of[j]
+                last_reader[forward] = t
+                if i >= 0 and current[i] >= 0:
+                    held[current[i]] = t
+        for f, last in held.items():
+            for u in [f, *reads[f]]:
+                if end[u] < last:
+                    end[u] = last
+        never = len(end)
+        for t in kept_steps:
+            end[t] = never
+        # readers come later, so one reverse pass settles chains of aliases
+        for t in reversed(alias_steps):
+            for u in reads[t]:
+                if end[u] < end[t]:
+                    end[u] = end[t]
+        by_step: defaultdict[int, list[int]] = defaultdict(list)
+        for u, step in enumerate(end):
+            if step < never:
+                by_step[step].append(u)
+        releases: list[tuple[int, ...]] = [()] * never
+        for step, freed in by_step.items():
+            releases[step] = tuple(freed)
+        return Lifetimes(reads, releases, stashers,
+                         frozenset(plan[instances[t]].name
+                                   for t in last_reader.values()))
+
+    return lifetimes
 
 
 class GraphTensor:

@@ -14,12 +14,14 @@ on:
   Sec. 5.3).
 
 One serial executor runs every plan (see DESIGN.md, "Executor").  It walks
-the topological plan in order and moves values through an integer-indexed
-**slot table** assigned at plan-compile time (one stable slot id per op
-output), so the per-op framework overhead is a couple of list indexings.
-Every intermediate is freed — its slots cleared and its bytes returned to the
-allocation tracker — right after the step that uses it last.  The release
-never drops bytes the run still holds:
+the plan's instance list in order and moves values through an
+integer-indexed **slot table** assigned at plan-compile time (one stable slot
+id per instance output), so the per-op framework overhead is a couple of
+list indexings.  Every intermediate is freed — its slots cleared and its
+bytes returned to the allocation tracker — right after the step that uses it
+last.  One function, :func:`repro.graph.core.lifetime_rule`, computes these
+releases for every plan, budgeted or not, and the release never drops bytes
+the run still holds:
 
 * a ``PyCall`` or ``Identity`` output may be its own input, so that input
   stays counted for as long as the output lives;
@@ -29,8 +31,9 @@ never drops bytes the run still holds:
   forward op that no backward op in the plan reads stashes nothing.
 
 Fetched values live until the run returns.  Under ``amanda.config
-.memory_budget`` the rematerialization schedule replaces these releases with
-its own per-instance ones (:mod:`repro.analysis.remat`).
+.memory_budget`` the instance list is the rematerialization schedule
+(:mod:`repro.analysis.remat`): recomputed ops repeat, and the same rules
+hold for each incarnation.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from ..core.config import config
 from ..eager import alloc
 from ..kernels.runtime import runtime as kernel_runtime
 from .builder import COMPUTE
-from .core import Graph, GraphTensor, Operation, VariableStore, topo_plan
+from .core import (Graph, GraphTensor, Operation, VariableStore,
+                   lifetime_rule, topo_plan)
 
 __all__ = ["Session", "SessionRunHook", "RunContext", "CompiledPlan"]
 
@@ -89,61 +93,20 @@ class _Runtime:
         self.stash_drops = stash_drops
 
 
-#: op types whose output may be one of their inputs (the same array)
-_ALIASING_TYPES = frozenset({"PyCall", "Identity"})
-
-
-def _release_steps(ops: list[Operation], fetched: set[str],
-                   stash_last: dict[str, int]) -> list[tuple[int, ...]]:
-    """Per step, the ops whose outputs the executor frees after it.
-
-    An op's outputs die after the last op that reads them (its own step when
-    nothing does), extended by the lifetime rule: a stash holds its forward
-    op's inputs and outputs until the stash's last reader, and an aliasing
-    op's inputs live as long as its outputs.  Fetched ops are never freed.
-    """
-    position = {op.name: i for i, op in enumerate(ops)}
-    end = list(range(len(ops)))
-    for i, op in enumerate(ops):
-        for edge in op.inputs:
-            j = position[edge.op.name]
-            if end[j] < i:
-                end[j] = i
-    for name, last in stash_last.items():
-        i = position.get(name)
-        if i is None:
-            continue
-        for j in [i] + [position[edge.op.name] for edge in ops[i].inputs]:
-            if end[j] < last:
-                end[j] = last
-    never = len(ops)
-    for name in fetched:
-        if name in position:
-            end[position[name]] = never
-    # consumers come later in the plan, so one reverse pass settles chains
-    for i in range(len(ops) - 1, -1, -1):
-        if ops[i].type in _ALIASING_TYPES:
-            for edge in ops[i].inputs:
-                j = position[edge.op.name]
-                if end[j] < end[i]:
-                    end[j] = end[i]
-    steps: list[list[int]] = [[] for _ in ops]
-    for j, step in enumerate(end):
-        if step < never:
-            steps[step].append(j)
-    return [tuple(step) for step in steps]
-
-
 class CompiledPlan:
-    """A cached execution plan: topo order, slot table, release steps.
+    """A cached execution plan: instance order, slot table, release steps.
 
     Compiled once per ``(graph fingerprint, fetches)`` and replayed by every
-    later ``run()``.  Compilation lowers the plan onto an integer-indexed
-    **slot table**: every op output gets a stable slot id (``slot_base[name]
-    + output index``), ``input_slots[i]`` holds the slot ids op ``i`` reads
-    and ``output_base[i]`` where it publishes, so the executor never touches
-    a name-keyed dict on the hot path.  ``release_after_step[i]`` lists the
-    ops whose outputs are freed after step ``i`` (see :func:`_release_steps`).
+    later ``run()``.  Without a memory budget the plan runs each op of the
+    topological order once; with ``amanda.config.memory_budget`` the
+    rematerialization schedule (:mod:`repro.analysis.remat`) repeats the ops
+    it recomputes.  Either instance list is lowered the same way onto an
+    integer-indexed **slot table**: every executed instance publishes its
+    outputs at ``output_base[i]`` onward, ``input_slots[i]`` holds the slot
+    ids instance ``i`` reads, and ``release_after_step[i]`` lists the
+    instances whose outputs are freed after step ``i``
+    (:func:`repro.graph.core.lifetime_rule`), so the executor never touches
+    a name-keyed dict on the hot path.
 
     Captured backward ops name the forward op whose stash they read in
     ``attrs["forward_name"]``; ``stashers`` holds those forward ops and
@@ -157,72 +120,51 @@ class CompiledPlan:
     def __init__(self, ops: list[Operation], fetch_ops: tuple[str, ...],
                  memory_budget: int = 0,
                  feed_shapes: dict[str, tuple] | None = None):
+        # -- memory-budgeted schedule (amanda.config.memory_budget) ----------
+        self.remat = None
+        self.remat_error: str | None = None
+        instances = None
+        if memory_budget > 0 and ops:
+            # looked up on the module at compile time, so a wrapper installed
+            # on ``remat.plan_remat`` sees every call
+            from ..analysis import remat
+            try:
+                bytes_of, flops_of, _unknown = remat.op_costs(
+                    ops, ops[0].graph, feed_shapes=feed_shapes)
+                self.remat = remat.plan_remat(ops, fetch_ops, memory_budget,
+                                              bytes_of, flops_of)
+                instances = self.remat.instances
+            except Exception as exc:  # budgeting must never break execution
+                self.remat_error = f"{type(exc).__name__}: {exc}"
+        lifetimes = lifetime_rule(ops, fetch_ops)(instances)
+        if instances is not None:
+            ops = [ops[j] for j in instances]
         self.ops = ops
 
-        # -- slot table: one stable integer slot per op output --------------
+        # -- slot table: one stable integer slot per instance output ---------
+        # incarnations never share slots: one the lifetime rule keeps alive
+        # (through an alias or a stash) may be freed after its op's next
+        # incarnation published.  A fetched op runs once, so ``slot_base``
+        # finds its value by name.
+        self.output_base: list[int] = []
         self.slot_base: dict[str, int] = {}
         next_slot = 0
         for op in ops:
+            self.output_base.append(next_slot)
             self.slot_base[op.name] = next_slot
             next_slot += len(op.outputs)
         self.num_slots = next_slot
         self.input_slots: list[tuple[int, ...]] = [
-            tuple(self.slot_base[edge.op.name] + edge.index
-                  for edge in op.inputs)
-            for op in ops]
-        self.output_base: list[int] = [self.slot_base[op.name] for op in ops]
+            tuple(self.output_base[u] + edge.index
+                  for u, edge in zip(read, op.inputs))
+            for op, read in zip(ops, lifetimes.reads)]
         # compute callables resolved once at compile time; a None entry
         # (op type registered after this plan compiled) falls back to a
         # registry lookup at execution
         self.computes: list = [COMPUTE.get(op.type) for op in ops]
-
-        # -- lifetimes: stash readers, then per-step releases ---------------
-        stash_last: dict[str, int] = {}
-        for i, op in enumerate(ops):
-            forward = op.attrs.get("forward_name")
-            if forward is not None:
-                stash_last[forward] = i
-        self.stashers = frozenset(stash_last)
-        self.stash_drops = frozenset(ops[i].name for i in stash_last.values())
-        self.release_after_step = _release_steps(ops, set(fetch_ops),
-                                                 stash_last)
-
-        # -- memory-budgeted lowering (amanda.config.memory_budget) ----------
-        # with a budget the static rematerialization pass replaces the
-        # executable arrays above with a per-*instance* schedule: evicted
-        # intermediates are freed at their scheduled last use and republished
-        # by recompute instances (extra slot-table entries over the same
-        # slots) before later consumers run
-        self.remat = None
-        self.remat_error: str | None = None
-        if memory_budget > 0 and ops:
-            try:
-                self._lower_remat(ops, fetch_ops, memory_budget, feed_shapes)
-            except Exception as exc:  # budgeting must never break execution
-                self.remat = None
-                self.remat_error = f"{type(exc).__name__}: {exc}"
-
-    def _lower_remat(self, ops: list[Operation], fetch_ops: tuple[str, ...],
-                     budget: int, feed_shapes: dict | None) -> None:
-        from ..analysis.remat import op_costs, plan_remat
-        bytes_of, flops_of, _unknown = op_costs(
-            ops, ops[0].graph, feed_shapes=feed_shapes)
-        schedule = plan_remat(ops, fetch_ops, budget, bytes_of, flops_of)
-        # slot table and base positions are untouched: a recompute instance
-        # republishes the *same* slots its op always owned
-        inst_ops = [ops[i] for i in schedule.instances]
-        self.ops = inst_ops
-        self.computes = [COMPUTE.get(op.type) for op in inst_ops]
-        self.input_slots = [
-            tuple(self.slot_base[edge.op.name] + edge.index
-                  for edge in op.inputs)
-            for op in inst_ops]
-        self.output_base = [self.slot_base[op.name] for op in inst_ops]
-        self.release_after_step = list(schedule.release_after_step)
-        # the schedule's releases ignore stashes, so stashes live to the end
-        # of the run (a recomputed backward op may read one again)
-        self.stash_drops = frozenset()
-        self.remat = schedule
+        self.release_after_step = lifetimes.release_after_step
+        self.stashers = lifetimes.stashers
+        self.stash_drops = lifetimes.stash_drops
 
     def __repr__(self) -> str:
         remat = ""

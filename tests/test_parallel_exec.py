@@ -9,6 +9,7 @@ back every byte it charged.
 """
 
 import gc
+import os
 import threading
 
 import numpy as np
@@ -20,12 +21,11 @@ import repro.graph as G
 import repro.models.eager as M
 import repro.models.graph as GM
 from repro.amanda.tools import ExecutionTraceTool, KernelProfilingTool
-from repro.analysis.effects import analyze_plan
 from repro.analysis.liveness import estimate_liveness
 from repro.analysis.remat import plan_remat_for_graph
 from repro.eager import alloc
 from repro.graph import builder as gb
-from repro.graph.core import plan_levels, topo_plan
+from repro.graph.core import topo_plan
 from repro.graph.session import CompiledPlan
 from repro.kernels.runtime import runtime as kernel_runtime
 
@@ -198,14 +198,7 @@ class TestRaceDirectedParallel:
             fetched = sess.run([out, step], {x: x_val})[0]
             return sess, np.asarray(fetched), g.variables.read("v")
 
-        sess, base_out, base_store = run(self._write_write_graph())
-        # exactly the one conflicting pair, nothing else
-        report = analyze_plan(sess.last_compiled.ops)
-        assert len(report.conflicts) == 1
-        conflict = report.conflicts[0]
-        assert conflict.kind == "write-write"
-        assert conflict.keys == ("v",)
-        assert {conflict.first, conflict.second} == {"writer_a", "writer_b"}
+        _, base_out, base_store = run(self._write_write_graph())
         for workers in WORKER_COUNTS[1:]:
             built = _build_each(self._write_write_graph, workers)
             for _, got_out, got_store in _concurrently(
@@ -240,11 +233,7 @@ class TestRaceDirectedParallel:
                 g.variables.read("shared_mean"), \
                 g.variables.read("shared_var")
 
-        sess, base_out, base_mean, base_var = run(self._shared_bn_graph())
-        report = analyze_plan(sess.last_compiled.ops)
-        assert len(report.conflicts) == 1
-        assert report.conflicts[0].kind == "write-write"
-        assert set(report.conflicts[0].keys) == {"shared_mean", "shared_var"}
+        _, base_out, base_mean, base_var = run(self._shared_bn_graph())
         for workers in WORKER_COUNTS[1:]:
             built = _build_each(self._shared_bn_graph, workers)
             for _, got_out, got_mean, got_var in _concurrently(
@@ -273,19 +262,6 @@ class TestRaceDirectedParallel:
 
 
 class TestCompiledPlan:
-    def test_levels_partition_plan_and_respect_deps(self):
-        gm = GM.build_inception_v3()
-        plan = topo_plan([gm.logits.op])
-        levels = plan_levels(plan)
-        assert sum(len(level) for level in levels) == len(plan)
-        # inception's parallel branches make levels genuinely wide
-        assert max(len(level) for level in levels) >= 4
-        level_of = {op.name: i for i, level in enumerate(levels)
-                    for op in level}
-        for op in plan:
-            for edge in op.inputs:
-                assert level_of[edge.op.name] < level_of[op.name]
-
     def test_release_excludes_fetched_ops(self):
         gm = GM.build_mlp(learning_rate=None)
         plan = topo_plan([gm.logits.op])
@@ -449,22 +425,50 @@ class TestInstrumentedParallel:
         assert alloc.tracker.live["dnn"] == 0  # failed runs fully unwound
 
 
+#: every env knob: (field, variable, default, [(raw value, parsed)],
+#: scoped override, override value, overridden field value)
+KNOB_CASES = [
+    ("plan_cache_size", "AMANDA_PLAN_CACHE_SIZE", 64,
+     [("7", 7), ("0", 1), ("-3", 1), ("junk", 64)],
+     amanda.plan_cache_size, 3, 3),
+    ("capture", "AMANDA_CAPTURE", True,
+     [("0", False), ("off", False), ("yes", True), ("maybe", True)],
+     amanda.capture_enabled, False, False),
+    ("serve_workers", "AMANDA_SERVE_WORKERS", 2,
+     [("8", 8), ("not-a-number", 2), ("-3", 1),
+      ("auto", max(1, os.cpu_count() or 1))],
+     amanda.serve_workers, 6, 6),
+    ("sample_rate", "AMANDA_SAMPLE_RATE", 1,
+     [("10", 10), ("0", 0), ("-2", 0), ("x", 1)],
+     amanda.sample_rate, 5, 5),
+    ("serve_batch", "AMANDA_SERVE_BATCH", 8,
+     [("4", 4), ("0", 1), ("x", 8)],
+     amanda.serve_batch, 2, 2),
+    ("memory_budget", "AMANDA_MEMORY_BUDGET", 0,
+     [("3M", 3 << 20), ("512", 512), ("1.5k", 1536), ("-5", 0),
+      ("junk", 0)],
+     amanda.memory_budget, "2K", 2048),
+]
+
+
 class TestConfig:
     def test_env_parsing(self, monkeypatch):
+        """Every knob parses its variable, clamps it, and keeps its default
+        when the variable is missing or junk."""
         from repro.core.config import Config
-        monkeypatch.setenv("AMANDA_SERVE_WORKERS", "8")
-        assert Config().serve_workers == 8
-        monkeypatch.setenv("AMANDA_SERVE_WORKERS", "not-a-number")
-        assert Config().serve_workers == 2
-        monkeypatch.setenv("AMANDA_SERVE_WORKERS", "-3")
-        assert Config().serve_workers == 1
-        monkeypatch.setenv("AMANDA_SERVE_WORKERS", "auto")
-        assert Config().serve_workers >= 1
-        monkeypatch.delenv("AMANDA_SERVE_WORKERS")
-        assert Config().serve_workers == 2
+        for field, env, default, cases, *_ in KNOB_CASES:
+            monkeypatch.delenv(env, raising=False)
+            assert getattr(Config(), field) == default, field
+            for raw, parsed in cases:
+                monkeypatch.setenv(env, raw)
+                assert getattr(Config(), field) == parsed, (field, raw)
+            monkeypatch.delenv(env)
+        # the provenance line prints vars(config): exactly the six knobs
+        assert list(vars(Config())) == [case[0] for case in KNOB_CASES]
 
     def test_scoped_override_restores(self):
-        before = amanda.config.serve_workers
-        with amanda.serve_workers(6):
-            assert amanda.config.serve_workers == 6
-        assert amanda.config.serve_workers == before
+        for field, _, _, _, scope, value, parsed in KNOB_CASES:
+            before = getattr(amanda.config, field)
+            with scope(value):
+                assert getattr(amanda.config, field) == parsed, field
+            assert getattr(amanda.config, field) == before, field

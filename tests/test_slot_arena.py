@@ -240,14 +240,3 @@ class TestPlanCacheLRU:
         monkeypatch.setenv("AMANDA_PLAN_CACHE_SIZE", "0")
         cfg.refresh_from_env()
         assert cfg.plan_cache_size == 1  # clamped to a sane floor
-
-
-class TestPlanLevelsValidation:
-    def test_missing_extra_dep_predecessor_raises(self):
-        from repro.graph.core import plan_levels, topo_plan
-        with G.default_graph() as g:
-            a = gb.placeholder(name="a")
-            b = gb.square(a)
-        plan = topo_plan([b.op])
-        with pytest.raises(ValueError, match="does not precede"):
-            plan_levels(plan, extra_deps={b.op.name: ("ghost_op",)})
