@@ -2,12 +2,12 @@
 
 Symbolic capture (``repro.capture``) traces an eager module into the graph
 IR and replays calls through the compiled ``Session`` — plan cache, slot
-table, arena-ready executor.  This benchmark runs the *same* module (same
-parameter buffers, same kernels) through plain eager dispatch, through its
-captured wrapper, and — as the graph-driver reference — through a raw
-``Session.run`` of the very graph the capture produced, isolating
-*framework* time as wall minus kernel-event time (the CUPTI-style stream
-all modes emit identically).
+table, an executor that frees every intermediate at its last use.  This
+benchmark runs the *same* module (same parameter buffers, same kernels)
+through plain eager dispatch, through its captured wrapper, and — as the
+graph-driver reference — through a raw ``Session.run`` of the very graph
+the capture produced, isolating *framework* time as wall minus kernel-event
+time (the CUPTI-style stream all modes emit identically).
 
 * **equivalence** — captured fetches are bitwise identical to eager;
 * **inheritance** — captured steady-state per-op framework overhead lands

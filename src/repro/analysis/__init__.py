@@ -7,9 +7,10 @@ runs and silently computes the wrong thing.  This package catches those bugs
 *before* any kernel executes:
 
 * :mod:`repro.analysis.schemas` — per-op-type schemas (arity, attribute
-  types, shape/dtype inference rules) for every operator of the graph backend
-  and the eager backend, with completeness checks so a new op cannot be added
-  without a schema;
+  types, shape/dtype inference rules, and whether the op touches state
+  beyond its inputs) for every operator of the graph backend and the eager
+  backend, with completeness checks so a new op cannot be added without a
+  schema;
 * :mod:`repro.analysis.verify` — structural graph verification (dangling
   inputs, duplicate names, cycles, orphaned ``PyCall`` wrappers,
   fetch-redirect consistency) plus full shape/dtype propagation with
@@ -20,19 +21,14 @@ runs and silently computes the wrong thing.  This package catches those bugs
 * :mod:`repro.analysis.liveness` — a static liveness / peak-activation-memory
   estimator cross-checkable against the dynamic
   :class:`repro.tools.memory.MemoryProfilingTool`;
-* :mod:`repro.analysis.effects` — per-op effect signatures (pure /
-  reads-state / writes-state / rng / ordered-event / opaque), which decide
-  what the rematerialization pass may recompute;
 * :mod:`repro.analysis.remat` — static keep-vs-recompute schedules for a
-  memory budget.
+  memory budget, recomputing only ops whose schema says they are functions
+  of their inputs.
 
 Run ``python -m repro.analysis`` to verify and lint the graphs built by the
 ``examples/`` model zoo.
 """
 
-from .effects import (GRAPH_EFFECTS, EffectSig, check_effects_complete,
-                      effect_signature, missing_effect_signatures,
-                      normalize_effects, register_graph_effect)
 from .lint import LintIssue, lint_contexts
 from .liveness import LivenessReport, estimate_liveness
 from .source_lint import (SourceLintIssue, lint_span_safety,
@@ -51,9 +47,6 @@ __all__ = [
     "check_registry_complete", "validate_mask_shape", "validate_scale",
     "GraphVerifier", "VerificationReport", "VerificationError", "Issue",
     "verify_graph",
-    "EffectSig", "GRAPH_EFFECTS",
-    "effect_signature", "normalize_effects", "register_graph_effect",
-    "missing_effect_signatures", "check_effects_complete",
     "LintIssue", "lint_contexts",
     "LivenessReport", "estimate_liveness",
     "SourceLintIssue", "lint_span_safety", "lint_span_safety_source",

@@ -9,8 +9,8 @@ Usage::
 
 For every example model the tool
 
-1. checks schema-registry and effect-registry completeness (every
-   implemented op has a schema and an effect signature);
+1. checks schema-registry completeness (every implemented op has a
+   schema);
 2. builds the model's forward+backward graph and verifies it;
 3. instruments the graph statically with real tools (pruning + profiling —
    no kernel executes) and verifies the instrumented copy, including
@@ -18,12 +18,12 @@ For every example model the tool
 4. lints the recorded action stream for tool-composition problems;
 5. prints the static liveness/peak-memory estimate.
 
-Exit status is non-zero on verification failures, missing schemas or
-effect signatures (and on lint findings with ``--strict``) — suitable as a
-CI gate.
+Exit status is non-zero on verification failures or missing schemas (and
+on lint findings with ``--strict``) — suitable as a CI gate.
 
 The ``remat`` subcommand prints each example's static rematerialization
-schedule against a memory budget instead.
+schedule against a memory budget instead (``--budget`` takes a byte count
+with an optional K/M/G suffix; default 60% of each model's unbudgeted peak).
 """
 
 from __future__ import annotations
@@ -126,18 +126,6 @@ def _analyze_example(name: str, build, feeds, strict: bool) -> int:
     return failures
 
 
-def _check_effects() -> int:
-    from . import effects, schemas
-    try:
-        effects.check_effects_complete()
-    except schemas.SchemaError as exc:
-        print(f"FAIL effect registry incomplete: {exc}")
-        return 1
-    print(f"ok   effect registry complete "
-          f"({len(effects.GRAPH_EFFECTS)} graph op signatures)")
-    return 0
-
-
 def _remat_example(name: str, build, feeds, budget: int | None) -> int:
     from .remat import plan_remat_for_graph
 
@@ -160,9 +148,19 @@ def _remat_example(name: str, build, feeds, budget: int | None) -> int:
     return 0
 
 
-def _remat_main(argv: list[str]) -> int:
+def _budget_arg(text: str) -> int:
+    """``--budget``: a byte count >= 0 with an optional K/M/G suffix."""
     from ..core.config import _parse_bytes
 
+    # the knob parser falls back to its default on junk and clamps negatives
+    budget = _parse_bytes(text, default=-1)
+    if budget < 0 or text.strip().startswith("-"):
+        raise argparse.ArgumentTypeError(
+            f"invalid byte count {text!r} (expected e.g. 0, 4096 or 3M)")
+    return budget
+
+
+def _remat_main(argv: list[str]) -> int:
     examples = _build_examples()
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis remat",
@@ -172,6 +170,7 @@ def _remat_main(argv: list[str]) -> int:
                         help=f"examples to analyze (default: all of "
                              f"{', '.join(sorted(examples))})")
     parser.add_argument("--budget", default=None, metavar="BYTES",
+                        type=_budget_arg,
                         help="memory budget (accepts suffixes, e.g. 3M); "
                              "default: 60%% of each model's liveness bound")
     args = parser.parse_args(argv)
@@ -179,14 +178,12 @@ def _remat_main(argv: list[str]) -> int:
     if unknown:
         parser.error(f"unknown example(s): {', '.join(unknown)} "
                      f"(choose from {', '.join(sorted(examples))})")
-    budget = _parse_bytes(args.budget) if args.budget is not None else None
-
     np.seterr(all="ignore")
     failures = 0
     for name in args.examples or sorted(examples):
         build, feeds = examples[name]
         try:
-            failures += _remat_example(name, build, feeds, budget)
+            failures += _remat_example(name, build, feeds, args.budget)
         except Exception as exc:  # planning must never crash on the zoo
             print(f"FAIL {name}: {type(exc).__name__}: {exc}")
             failures += 1
@@ -217,7 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     np.seterr(all="ignore")
     selected = args.examples or sorted(examples)
     failures = _check_schemas()
-    failures += _check_effects()
     failures += _check_span_safety()
     for name in selected:
         build, feeds = examples[name]

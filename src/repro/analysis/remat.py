@@ -3,21 +3,21 @@
 The paper's capability matrix (Tbl. 1, DTR row) treats rematerialization as
 an instrumentation workload; this module turns the repo's static
 infrastructure — per-op byte costs from the verifier's shape inference,
-topo plans from :func:`repro.graph.core.topo_plan`, effect signatures from
-:mod:`repro.analysis.effects` — into something the executor can *run*: a
-compile-time keep-vs-recompute schedule for a memory budget
-(``amanda.config.memory_budget``, env ``AMANDA_MEMORY_BUDGET``).
+topo plans from :func:`repro.graph.core.topo_plan`, the op schemas'
+``stateful`` rules (:mod:`repro.analysis.schemas`) — into something the
+executor can *run*: a compile-time keep-vs-recompute schedule for a memory
+budget (``amanda.config.memory_budget``, env ``AMANDA_MEMORY_BUDGET``).
 
 The planner is checkmate-flavoured static scheduling seeded with Chen's
 :math:`\\sqrt{n}` segment checkpointing:
 
-1. **Candidates** are the effect-pure ops (:func:`repro.analysis.effects
-   .recomputable`) that are not fetched and produce known, non-zero bytes.
-   State readers/writers, RNG consumers (unseeded dropout), opaque ops,
+1. **Candidates** are the :func:`recomputable` ops that are not fetched and
+   produce known, non-zero bytes.  Stateful ops (variable reads and
+   assigns, batch norm, unseeded dropout), op types without a schema,
    ``PyCall`` instrumentation points and the captured ops that touch the
    run's stash table are *pinned*: they execute exactly once and their
    outputs are only freed after their last (possibly recompute) reader.
-   Seeded dropout is a candidate — its recompute replays the stashed seed.
+   Seeded dropout is a candidate — its recompute replays the seeded mask.
 2. **Seed**: evict every candidate, materialize the instance schedule with a
    read-locality window of :math:`\\lceil\\sqrt{n}\\rceil` base steps (reads
    closer than the window share one incarnation; a farther read triggers a
@@ -51,16 +51,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..graph.core import (SKIP_TYPES, Graph, GraphTensor, Lifetimes,
                           Operation, lifetime_rule, topo_plan)
-from .effects import recomputable
-from .schemas import numel
+from .schemas import GRAPH_SCHEMAS, numel
 from .verify import GraphVerifier
 
 __all__ = ["RematSchedule", "plan_remat", "plan_remat_for_graph",
-           "op_costs", "schedule_peak"]
+           "op_costs", "recomputable", "schedule_peak", "fetch_plan"]
 
 #: every value in the reproduction is float64
 _DTYPE_BYTES = 8
@@ -73,6 +72,44 @@ _NO_FRESH_BYTES = SKIP_TYPES | {"Variable", "Identity"}
 #: greedy-refinement trial bound: only the costliest evictions are
 #: reconsidered, so pathological plans cannot make compilation quadratic
 _MAX_REFINE_TRIALS = 256
+
+
+def recomputable(op: Operation) -> bool:
+    """Whether the rematerialization pass may re-execute ``op``.
+
+    Only an op whose result is a function of its inputs qualifies: its
+    schema must exist and not call it ``stateful`` (re-running a state
+    reader could observe a later write, a writer or an unseeded dropout
+    would apply its effect twice, and an op type without a schema is
+    unknown).  ``PyCall`` is always pinned — its callback is an externally
+    observable tool routine (a profiler counting invocations must not see
+    instrumentation points fire twice) — and ``NoOp`` anchors carry no
+    value worth evicting.
+    """
+    if op.type in SKIP_TYPES:
+        return False
+    schema = GRAPH_SCHEMAS.get(op.type)
+    return schema is not None and (schema.stateful is None
+                                   or not schema.stateful(op))
+
+
+def fetch_plan(graph: Graph, fetches) -> tuple[list[Operation], list[str]]:
+    """``Session._plan``'s order over ``fetches`` and the fetched op names.
+
+    A fetch is a tensor, an operation or a ``"name[:index]"`` string;
+    ``None`` plans every op of the graph and fetches none.
+    """
+    if fetches is None:
+        return topo_plan(list(graph.operations)), []
+    roots = []
+    for fetch in fetches:
+        if isinstance(fetch, GraphTensor):
+            roots.append(fetch.op)
+        elif isinstance(fetch, Operation):
+            roots.append(fetch)
+        else:
+            roots.append(graph.get_operation(str(fetch).partition(":")[0]))
+    return topo_plan(roots), [op.name for op in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +149,16 @@ def _op_flops(op: Operation, shapes: Mapping[str, tuple]) -> int:
 
 def op_costs(plan: Sequence[Operation], graph: Graph,
              feed_shapes: Mapping[str, tuple] | None = None,
-             dtype_bytes: int = _DTYPE_BYTES):
+             zero_byte_types: Iterable[str] = _NO_FRESH_BYTES):
     """``(bytes_of, flops_of, unknown)`` per op name for a compiled plan.
 
-    Byte accounting mirrors the executor's allocation tracker: ``Variable``
-    reads alias the store and an ``Identity`` output is its own input (never
-    counted as fresh), ``PyCall``/``NoOp`` wrappers alias or carry nothing,
-    and everything else — placeholders, constants, activations — counts its
-    full output bytes.  Ops with uninferrable shapes contribute 0 bytes and
-    are listed in ``unknown``.
+    Byte accounting mirrors the executor's allocation tracker by default:
+    ``Variable`` reads alias the store and an ``Identity`` output is its own
+    input (never counted as fresh), ``PyCall``/``NoOp`` wrappers alias or
+    carry nothing, and everything else — placeholders, constants,
+    activations — counts its full output bytes.  ``zero_byte_types`` names
+    the op types counted as 0 bytes.  Other ops with uninferrable shapes
+    contribute 0 bytes and are listed in ``unknown``.
     """
     verifier = GraphVerifier(graph, feed_shapes=feed_shapes)
     verifier.run()
@@ -128,9 +166,10 @@ def op_costs(plan: Sequence[Operation], graph: Graph,
     bytes_of: dict[str, int] = {}
     flops_of: dict[str, int] = {}
     unknown: list[str] = []
+    zero_bytes = frozenset(zero_byte_types)
     for op in plan:
         flops_of[op.name] = _op_flops(op, shapes)
-        if op.type in _NO_FRESH_BYTES:
+        if op.type in zero_bytes:
             bytes_of[op.name] = 0
             continue
         total = 0
@@ -140,7 +179,7 @@ def op_costs(plan: Sequence[Operation], graph: Graph,
             if count is None:
                 missing = True
             else:
-                total += count * dtype_bytes
+                total += count * _DTYPE_BYTES
         if missing:
             unknown.append(op.name)
         bytes_of[op.name] = total
@@ -404,15 +443,6 @@ def plan_remat_for_graph(graph: Graph, fetches, budget: int,
                          feed_shapes: Mapping[str, tuple] | None = None,
                          ) -> RematSchedule:
     """Convenience wrapper: plan + costs from a graph and fetches."""
-    roots = []
-    for fetch in fetches:
-        if isinstance(fetch, GraphTensor):
-            roots.append(fetch.op)
-        elif isinstance(fetch, Operation):
-            roots.append(fetch)
-        else:
-            roots.append(graph.get_operation(str(fetch).partition(":")[0]))
-    plan = topo_plan(roots)
+    plan, fetched = fetch_plan(graph, fetches)
     bytes_of, flops_of, _ = op_costs(plan, graph, feed_shapes=feed_shapes)
-    return plan_remat(plan, [op.name for op in roots], budget,
-                      bytes_of, flops_of)
+    return plan_remat(plan, fetched, budget, bytes_of, flops_of)

@@ -3,8 +3,10 @@
 Every operator implemented by the graph backend (``graph/builder.py`` plus
 ``graph/gradients.py`` / ``graph/fusion.py``) and by the eager backend
 (``eager/ops.py``) has a registered :class:`OpSchema`.  The schemas drive the
-static verifier (:mod:`repro.analysis.verify`) and double as machine-checked
-documentation of each op's contract.
+static verifier (:mod:`repro.analysis.verify`), say which ops touch state
+beyond their inputs (``OpSchema.stateful``, which the rematerialization pass
+reads, :func:`repro.analysis.remat.recomputable`) and double as
+machine-checked documentation of each op's contract.
 
 Shapes are *partial*: a dimension may be ``None`` (unknown, e.g. fed through
 an un-annotated ``Placeholder``) and a whole shape may be ``None`` (fully
@@ -78,6 +80,11 @@ class OpSchema:
     num_outputs_fn: Callable[[Any], int] | None = None
     #: dtype kind constraints per input index ('i' = integer-valued)
     input_dtype_kinds: Mapping[int, str] = field(default_factory=dict)
+    #: ``stateful(op) -> bool``: whether running ``op`` touches more than
+    #: its inputs (reads or writes the variable store, draws fresh
+    #: randomness), so the rematerialization pass must not re-execute it;
+    #: None = a function of its inputs only
+    stateful: Callable[[Any], bool] | None = None
 
 
 GRAPH_SCHEMAS: dict[str, OpSchema] = {}
@@ -465,11 +472,24 @@ def _g(op_type, min_inputs=0, max_inputs=None, num_outputs=1, attrs=None,
         tuple(required), infer, **kw))
 
 
+def _always(op) -> bool:
+    """``stateful`` rule of ops that always touch the variable store."""
+    return True
+
+
+def _unseeded_dropout(op) -> bool:
+    # a fixed seed makes the mask a function of the attrs (a recompute
+    # replays it); no seed in training draws fresh entropy on every run
+    return bool(op.attrs.get("training") and op.attrs.get("rate", 0.0) > 0
+                and op.attrs.get("seed") is None)
+
+
 _g("Placeholder", 0, attrs={"shape": _TUPLEY + (type(None),)},
    infer=_infer_placeholder)
 _g("Const", 0, attrs={"value": (np.ndarray, np.generic, float, int)},
    required=("value",), infer=_infer_const)
-_g("Variable", 0, attrs={"trainable": (bool,)}, infer=_infer_variable)
+_g("Variable", 0, attrs={"trainable": (bool,)}, infer=_infer_variable,
+   stateful=_always)
 _g("Identity", 1, infer=_infer_elementwise)
 
 for _name in ("Add", "Sub", "Mul", "RealDiv"):
@@ -509,7 +529,8 @@ _g("AvgPoolGrad", 2, attrs=_POOL_ATTRS, required=tuple(_POOL_ATTRS),
 _g("FusedBatchNorm", 3, num_outputs=3,
    attrs={"training": (bool,), "momentum": (float,), "eps": (float,),
           "running_mean": (str,), "running_var": (str,)},
-   required=("running_mean", "running_var"), infer=_infer_batch_norm)
+   required=("running_mean", "running_var"), infer=_infer_batch_norm,
+   stateful=_always)  # training writes the running stats, inference reads
 _g("FusedBatchNormGrad", 4, num_outputs=3, attrs={"training": (bool,)},
    infer=lambda op, s, env: [s[0], s[3], s[3]])
 _g("LayerNorm", 3, num_outputs=3, attrs={"eps": (float,)},
@@ -542,11 +563,11 @@ _g("SparseSoftmaxCrossEntropyWithLogits", 2, num_outputs=2, infer=_infer_xent)
 _g("XentGrad", 2, infer=_infer_like(1))
 _g("Dropout", 1, num_outputs=2,
    attrs={"rate": (float,), "training": (bool,), "seed": (int, type(None))},
-   infer=lambda op, s, env: [s[0], s[0]])
+   infer=lambda op, s, env: [s[0], s[0]], stateful=_unseeded_dropout)
 
 for _name in ("AssignSub", "AssignAdd", "AssignVar"):
     _g(_name, 2, attrs={"var_name": (str,)}, required=("var_name",),
-       infer=_infer_like(0))
+       infer=_infer_like(0), stateful=_always)
 _g("NoOp", 0, infer=lambda op, s, env: [()])
 _g("PyCall", 0, max_inputs=2 ** 30, num_outputs=None,
    attrs={"func": (object,)}, required=("func",), allow_extra_attrs=True,

@@ -84,11 +84,6 @@ class GraphDriver(BackendDriver):
         self.verify = verify
         #: per-op contexts of the most recent rewrite (lint-pass input)
         self.last_contexts: list[OpContext] = []
-        #: tool name -> declared effect signature (``Tool.effects``), rebuilt
-        #: per rewrite and stamped onto every realized PyCall as its
-        #: ``effects`` tag; nothing reads the tag, because the remat planner
-        #: pins every PyCall before it looks at a signature
-        self._tool_effects: dict[str, object] = {}
         #: compiled plans of the most recent rewrite (plan_stats input)
         self.last_plans: list[ExecutionPlan] = []
         #: verification report of the most recent rewrite (when verifying)
@@ -124,7 +119,6 @@ class GraphDriver(BackendDriver):
         self.last_report = None
         self.vanilla_fallbacks = 0
         self.last_executor_stats = None
-        self._tool_effects = {}
 
     def health(self) -> dict:
         return {"vanilla_fallbacks": self.vanilla_fallbacks,
@@ -241,11 +235,6 @@ class GraphDriver(BackendDriver):
     def _instrument_graph_inner(self, graph: Graph,
                                 feed_shapes: dict | None) -> _Instrumented:
         mgr = self.manager
-        # snapshot the active tools' effect declarations: every PyCall a
-        # tool's actions realize below is tagged with them
-        self._tool_effects = {
-            tool.name: tool.effects for tool in mgr.tools
-            if getattr(tool, "effects", None) is not None}
         clone, _ = copy_graph(graph)
         # account the instrumented graph instance + per-op contexts as
         # framework bookkeeping memory (Fig. 13), held until the rewrite
@@ -299,12 +288,7 @@ class GraphDriver(BackendDriver):
                                    exclude_tools=mgr.quarantined)
             plans.append(plan)
             plan_by_context[id(context)] = plan
-            # observe-only plans (forward inserts, no replace/backward/state)
-            # compute nothing the model reads back, so their PyCall nodes are
-            # tagged parallel_safe, which the effect system reads as pure
-            self._realize_forward(rewriter, op, plan.forward, redirects,
-                                  observe_only=plan.kind is
-                                  PlanKind.OBSERVE_ONLY)
+            self._realize_forward(rewriter, op, plan.forward, redirects)
         for bop, bcontext, fcontext in backward_analyzed:
             forward_plan = plan_by_context[id(fcontext)]
             backward_plan = compile_actions(bcontext.actions,
@@ -397,21 +381,9 @@ class GraphDriver(BackendDriver):
     # semantics (partitioning, selector defaults, observation passthrough)
     # come from repro.core.plans — only the edit geometry lives here.
 
+    #: tags of every realized PyCall: the executor charges the fresh bytes
+    #: it produces to the ``tool`` allocation scope
     _TAGS = {"alloc_scope": "tool"}
-    #: observe-only callbacks declare no state (effect signature: pure)
-    _SAFE_TAGS = {"alloc_scope": "tool", "parallel_safe": True}
-
-    def _step_tags(self, tool: str | None, observe_only: bool = False) -> dict:
-        """Tags for one realized PyCall: base tags + the tool's declared
-        effects (when it declared any), so the effect system sees the
-        callback's state footprint instead of treating it as opaque."""
-        base = self._SAFE_TAGS if observe_only else self._TAGS
-        declared = self._tool_effects.get(tool)
-        if declared is None:
-            return base
-        tags = dict(base)
-        tags["effects"] = declared
-        return tags
 
     def _prov(self, op: Operation, i_point: str,
               tool: str | None = None) -> Provenance:
@@ -420,8 +392,7 @@ class GraphDriver(BackendDriver):
 
     def _realize_forward(self, rewriter: GraphRewriter, op: Operation,
                          plan_slice: PlanSlice,
-                         redirects: dict[str, Operation],
-                         observe_only: bool = False) -> None:
+                         redirects: dict[str, Operation]) -> None:
         runner = self.manager.run_instrumentation
         for step in plan_slice.before:
             indices = step.indices
@@ -438,7 +409,7 @@ class GraphDriver(BackendDriver):
                             self._prov(op, "before_forward_op",
                                        step.action.tool)),
                 name=f"PyCall_before_{op.name}",
-                tags=self._step_tags(step.action.tool, observe_only))
+                tags=self._TAGS)
         for step in plan_slice.after:
             indices = step.indices
             if indices is None:
@@ -451,7 +422,7 @@ class GraphDriver(BackendDriver):
                             self._prov(op, "after_forward_op",
                                        step.action.tool)),
                 name=f"PyCall_after_{op.name}",
-                tags=self._step_tags(step.action.tool, observe_only))
+                tags=self._TAGS)
             for position, index in enumerate(indices):
                 redirects.setdefault(op.outputs[index].name,
                                      node.outputs[position])
@@ -462,8 +433,7 @@ class GraphDriver(BackendDriver):
                     self._prov(op, "replace_op",
                                plan_slice.replace.action.tool)),
                 name=f"PyCall_replace_{op.name}",
-                tags=self._step_tags(plan_slice.replace.action.tool,
-                                     observe_only))
+                tags=self._TAGS)
             for index, tensor in enumerate(op.outputs):
                 redirects.setdefault(tensor.name, node.outputs[index])
 
@@ -487,7 +457,7 @@ class GraphDriver(BackendDriver):
                             self._prov(bop, "before_backward_op",
                                        step.action.tool)),
                 name=f"PyCall_before_{bop.name}",
-                tags=self._step_tags(step.action.tool))
+                tags=self._TAGS)
         for step in plan_slice.after:
             indices = step.indices
             if not indices:
@@ -501,7 +471,7 @@ class GraphDriver(BackendDriver):
                             self._prov(bop, "after_backward_op",
                                        step.action.tool)),
                 name=f"PyCall_after_{bop.name}",
-                tags=self._step_tags(step.action.tool))
+                tags=self._TAGS)
             for position, index in enumerate(indices):
                 redirects.setdefault(bop.outputs[index].name,
                                      node.outputs[position])
@@ -512,7 +482,7 @@ class GraphDriver(BackendDriver):
                     self._prov(bop, "replace_backward_op",
                                plan_slice.replace.action.tool)),
                 name=f"PyCall_replace_{bop.name}",
-                tags=self._step_tags(plan_slice.replace.action.tool))
+                tags=self._TAGS)
             for index, tensor in enumerate(bop.outputs):
                 redirects.setdefault(tensor.name, node.outputs[index])
 

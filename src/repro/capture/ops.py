@@ -1,4 +1,4 @@
-"""Runtime support for captured graphs: computes, schemas, effect rules.
+"""Runtime support for captured graphs: computes and schemas.
 
 Symbolic capture (see :mod:`repro.capture`) records *eager* operators into a
 :class:`repro.graph.core.Graph`.  Captured ops keep the eager operator names
@@ -12,11 +12,13 @@ output coercion below replicates exactly what
 
 Registration is driven by the op registry's snooping hook, so eager
 operators registered *after* ``repro.capture`` is imported (user extensions)
-become capturable too.  For every capturable operator three tables are
-updated atomically — ``builder.COMPUTE``, ``GRAPH_SCHEMAS`` and
-``GRAPH_EFFECTS`` — which keeps ``check_registry_complete()`` and
-``check_effects_complete()`` consistent whether or not this module was ever
-imported.
+become capturable too.  For every capturable operator two tables are updated
+together — ``builder.COMPUTE`` and ``GRAPH_SCHEMAS`` — which keeps
+``check_registry_complete()`` consistent whether or not this module was ever
+imported.  A captured op's graph schema is its eager schema; the two
+operators that touch state beyond their inputs, ``batch_norm`` and
+``dropout``, get a ``stateful`` rule here, so the rematerialization pass
+never re-executes them (:func:`repro.analysis.remat.recomputable`).
 
 Each captured forward op hands its ``OpCtx`` to its backward ops through the
 run's stash table (``_Runtime.stash``).  The compiled plan decides the
@@ -29,12 +31,11 @@ outputs counted as live until then, since the ``OpCtx`` may hold them (see
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
 
-from ..analysis.effects import (GRAPH_EFFECTS, PURE, RNG_KEY, EffectSig,
-                                register_graph_effect)
 from ..analysis.schemas import (EAGER_SCHEMAS, GRAPH_SCHEMAS, OpSchema,
                                 register_graph_schema)
 from ..eager.dispatch import BackwardDef, OpCtx, OpDef, registry
@@ -42,11 +43,9 @@ from ..graph.builder import COMPUTE
 
 __all__ = ["CAPTURABLE", "ensure_registered"]
 
-#: eager operator names with full captured-graph support (compute + schema +
-#: effect rule registered); the tracer bails out on anything else
+#: eager operator names with full captured-graph support (compute + schema
+#: registered); the tracer bails out on anything else
 CAPTURABLE: set[str] = set()
-
-_RNG = EffectSig(reads=frozenset((RNG_KEY,)), writes=frozenset((RNG_KEY,)))
 
 
 def _coerce(value) -> np.ndarray:
@@ -107,28 +106,22 @@ def _permissive_schema(name: str) -> OpSchema:
                     num_outputs_fn=lambda op: len(op.outputs))
 
 
-def _captured_batch_norm_effect(op) -> EffectSig:
+def _batch_norm_stateful(op) -> bool:
     # the eager forward mutates the running-stat arrays *in place*
-    # (np.copyto); at replay those arrays are the adopted Variable buffers at
-    # inputs 3 and 4, so training mode reads and writes their store keys
-    if not op.attrs.get("training", True):
-        return PURE
-    keys = frozenset(edge.op.name for edge in op.inputs[3:5]
-                     if edge.op.type == "Variable")
-    if not keys:
-        return PURE  # stats were baked constants: nothing shared is touched
-    return EffectSig(reads=keys, writes=keys)
+    # (np.copyto); at replay those are the adopted Variable buffers at inputs
+    # 3 and 4.  Stats baked as constants touch nothing shared.
+    return bool(op.attrs.get("training", True)) and any(
+        edge.op.type == "Variable" for edge in op.inputs[3:5])
 
 
-def _captured_dropout_effect(op) -> EffectSig:
-    if op.attrs.get("training", True) and op.attrs.get("p", 0.5) > 0 \
-            and op.attrs.get("seed") is None:
-        return _RNG
-    return PURE
+def _dropout_stateful(op) -> bool:
+    return bool(op.attrs.get("training", True) and op.attrs.get("p", 0.5) > 0
+                and op.attrs.get("seed") is None)
 
 
-def _pure_effect(op) -> EffectSig:
-    return PURE
+#: captured operators that touch more than their inputs -> ``stateful`` rule
+_STATEFUL = {"batch_norm": _batch_norm_stateful,
+             "dropout": _dropout_stateful}
 
 
 def _register_opdef(opdef: OpDef) -> None:
@@ -137,24 +130,21 @@ def _register_opdef(opdef: OpDef) -> None:
         return
     names = [opdef.name] + [b.name for b in opdef.backward_defs]
     for name in names:
-        if name in COMPUTE or name in GRAPH_SCHEMAS or name in GRAPH_EFFECTS:
+        if name in COMPUTE or name in GRAPH_SCHEMAS:
             # a collision with an existing graph type (or a backward-def name
             # shared with another operator): leave the op un-capturable so
             # the tracer bails instead of replaying through the wrong compute
             return
     COMPUTE[opdef.name] = _forward_compute(opdef)
-    register_graph_schema(EAGER_SCHEMAS.get(opdef.name)
-                          or _permissive_schema(opdef.name))
-    if opdef.name == "batch_norm":
-        register_graph_effect(opdef.name, _captured_batch_norm_effect)
-    elif opdef.name == "dropout":
-        register_graph_effect(opdef.name, _captured_dropout_effect)
-    else:
-        register_graph_effect(opdef.name, _pure_effect)
+    schema = (EAGER_SCHEMAS.get(opdef.name)
+              or _permissive_schema(opdef.name))
+    if opdef.name in _STATEFUL:
+        schema = dataclasses.replace(schema,
+                                     stateful=_STATEFUL[opdef.name])
+    register_graph_schema(schema)
     for bdef in opdef.backward_defs:
         COMPUTE[bdef.name] = _backward_compute(opdef, bdef)
         register_graph_schema(_permissive_schema(bdef.name))
-        register_graph_effect(bdef.name, _pure_effect)
     CAPTURABLE.add(opdef.name)
 
 
@@ -177,7 +167,6 @@ def ensure_registered() -> None:
     register_graph_schema(OpSchema(
         "zeros_like", 1, 1, 1, {}, (),
         lambda op, in_shapes, env: [in_shapes[0]]))
-    register_graph_effect("zeros_like", _pure_effect)
     # snoop the registry: replay covers already-registered ops, the listener
     # covers extensions registered later
     registry.add_registration_listener(_register_opdef, replay=True)

@@ -40,10 +40,10 @@ Current knobs:
   integers or ``K``/``M``/``G`` suffixes (``"512M"``).  With a budget set,
   plan compilation runs the static rematerialization pass
   (:mod:`repro.analysis.remat`): when the liveness bound exceeds the budget,
-  effect-pure intermediates are evicted at their scheduled last use and
-  recomputed before later consumers, trading FLOPs for peak memory.  ``0``
-  disables budgeting (the executor still frees every intermediate at its
-  last use).
+  intermediates whose schema says they are functions of their inputs are
+  evicted at their scheduled last use and recomputed before later
+  consumers, trading FLOPs for peak memory.  ``0`` disables budgeting (the
+  executor still frees every intermediate at its last use).
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _parse_bytes(value: str | int | None, default: int = 0) -> int:
             text = text[:-1]
         try:
             return max(0, int(float(text) * scale))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # junk, nan, inf
             return default
     try:
         return max(0, int(value))

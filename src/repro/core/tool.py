@@ -46,16 +46,6 @@ class Tool:
     #: their writes do not count as user state for fast-path decisions
     is_context_transform = False
 
-    #: static effect declaration for the ``PyCall`` ops this tool inserts
-    #: into graphs (:mod:`repro.analysis.effects`): ``None`` (undeclared —
-    #: the PyCalls are effect-opaque), ``"pure"`` (the instrumentation
-    #: routines compute from their inputs only), or a mapping with any of
-    #: ``reads`` / ``writes`` (iterables of state keys), ``rng`` /
-    #: ``ordered`` (booleans).  The graph driver stamps it onto the
-    #: PyCalls, but no analysis reads it: the remat planner pins every
-    #: PyCall regardless of its declaration.
-    effects = None
-
     def __init__(self, name: str | None = None) -> None:
         self.name = name or type(self).__name__
         self._dependencies: list[Tool] = []

@@ -50,8 +50,6 @@ class NaNGuardError(FloatingPointError):
 class NaNGuardTool(Tool):
     """Detects the first operator producing NaN/Inf values."""
 
-    effects = "pure"  # inspects values, never rewrites them
-
     def __init__(self, raise_on_anomaly: bool = False,
                  check_gradients: bool = True) -> None:
         super().__init__()
@@ -101,8 +99,6 @@ class NaNGuardTool(Tool):
 
 class GradientMonitorTool(Tool):
     """Per-operator gradient-norm statistics across training iterations."""
-
-    effects = "pure"  # per-op-id statistics, order-independent
 
     def __init__(self, vanish_threshold: float = 1e-8,
                  explode_threshold: float = 1e3) -> None:
@@ -157,8 +153,6 @@ class GradientClippingTool(Tool):
     trainable leaf, Sec. 5.3 — invisible to module hooks) and clips either by
     value or to a maximum L2 norm per parameter.
     """
-
-    effects = "pure"  # clipping is a function of the incoming gradient
 
     def __init__(self, max_norm: float | None = None,
                  clip_value: float | None = None) -> None:

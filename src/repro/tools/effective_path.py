@@ -33,8 +33,6 @@ _PASSTHROUGH = ("relu", "gelu", "sigmoid", "tanh", "bias_add", "dropout",
 class EffectivePathTool(Tool):
     """Records activations/weights during execution; extracts paths offline."""
 
-    effects = "pure"  # records per-op-id snapshots, extraction is offline
-
     def __init__(self) -> None:
         super().__init__()
         self.tracer = GraphTracingTool()

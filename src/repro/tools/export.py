@@ -45,7 +45,6 @@ class OnnxExportTool(Tool):
     """Records one eager execution; ``build()`` emits the ONNX model."""
 
     is_context_transform = True  # observation only: keep the fast path alive
-    effects = "pure"
 
     def __init__(self) -> None:
         super().__init__()

@@ -26,7 +26,6 @@ class MappingTool(Tool):
     """Applies namespace-filtered transformation rules to every context."""
 
     is_context_transform = True
-    effects = "pure"  # context annotation only, never inserts PyCalls
 
     def __init__(self, rules: list) -> None:
         super().__init__()

@@ -29,13 +29,14 @@ from .tracing import GraphTracingTool
 __all__ = ["MemoryProfilingTool", "RematerializationPlan"]
 
 #: mapped op types whose outputs cannot be rematerialized: sources have no
-#: recomputable producer (weights would be *lost*, not respilled), matching
-#: the static scheduler's ``repro.analysis.effects.recomputable`` pinning.
+#: recomputable producer (weights would be *lost*, not respilled).  The
+#: static scheduler likewise pins every ``Variable`` read, whose schema is
+#: ``stateful`` (``repro.analysis.remat.recomputable``).
 _NON_RECOMPUTABLE = frozenset({"variable", "placeholder", "constant"})
 
-#: store-owned state: excluded from the activation byte model (the slot-table
-#: executor's arena tracker and ``repro.analysis.remat.op_costs`` both give
-#: Variable reads zero bytes because the VariableStore owns that memory).
+#: store-owned state: excluded from the activation byte model (the
+#: executor's allocation tracker and ``repro.analysis.remat.op_costs`` both
+#: give Variable reads zero bytes because the VariableStore owns that memory).
 _PERSISTENT = frozenset({"variable"})
 
 
@@ -54,8 +55,6 @@ class RematerializationPlan:
 
 class MemoryProfilingTool(Tool):
     """Records per-operator activation footprints and execution order."""
-
-    effects = "pure"  # observation only: no graph-visible state
 
     def __init__(self) -> None:
         super().__init__()
@@ -118,7 +117,7 @@ class MemoryProfilingTool(Tool):
 
         With ``activations_only`` variable reads count zero bytes, matching
         the byte model of the static scheduler (``repro.analysis.remat``) and
-        the executor's arena tracker, where that memory is store-owned.
+        the executor's allocation tracker, where that memory is store-owned.
         """
         evicted = evicted or set()
         last = self._last_consumer_index()

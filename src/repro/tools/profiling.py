@@ -78,8 +78,6 @@ class OpProfile:
 class FlopsProfilingTool(Tool):
     """Counts per-operator FLOPs with runtime shape capture."""
 
-    effects = "pure"  # observation only: no graph-visible state
-
     COUNTED = ("conv2d", "linear", "matmul", "batch_norm", "layer_norm",
                "relu", "gelu", "max_pool2d", "avg_pool2d", "bias_add",
                "softmax", "add")
@@ -157,8 +155,6 @@ class FlopsProfilingTool(Tool):
 class SparsityProfilingTool(Tool):
     """Profiles the zero fraction of weights and activations per operator."""
 
-    effects = "pure"  # observation only: no graph-visible state
-
     def __init__(self, op_types=("conv2d", "linear", "matmul", "relu")) -> None:
         super().__init__()
         self.op_types = tuple(op_types)
@@ -200,8 +196,6 @@ class KernelProfilingTool(Tool):
     operator's execution, so every kernel launch can be attributed to the
     operator that issued it.
     """
-
-    effects = "pure"  # observation only: no graph-visible state
 
     def __init__(self) -> None:
         super().__init__()
@@ -271,8 +265,6 @@ class LatencyProfilingTool(Tool):
     stable op id — including functional operators integrated profilers only
     report in aggregate.
     """
-
-    effects = "pure"  # observation only: no graph-visible state
 
     def __init__(self) -> None:
         super().__init__()

@@ -102,8 +102,6 @@ def n_m_mask(weight: np.ndarray, n: int = 2, m: int = 4) -> np.ndarray:
 class _StaticWeightPruningTool(Tool):
     """Shared machinery: mask weights forward, mask weight grads backward."""
 
-    effects = "pure"  # mask multiply is a function of weight + baked mask
-
     PRUNED_TYPES = ("conv2d", "linear", "matmul")
     PRUNED_BACKWARD = ("conv2d_backward_weight", "linear_backward_weight",
                        "matmul_backward")
@@ -211,8 +209,6 @@ class ChannelPruningTool(Tool):
     """Dynamic channel gating (FBS-style): per batch, the conv input channels
     with the lowest mean |x| saliency are zeroed at runtime."""
 
-    effects = "pure"  # gating is a function of the batch's own activations
-
     def __init__(self, keep_ratio: float = 0.75) -> None:
         super().__init__()
         self.keep_ratio = keep_ratio
@@ -248,8 +244,6 @@ class ChannelPruningTool(Tool):
 class ActivationPruningTool(Tool):
     """Dynamic activation pruning: keep the top-k fraction by magnitude."""
 
-    effects = "pure"  # top-k mask is a function of the activation itself
-
     def __init__(self, keep_ratio: float = 0.5,
                  op_types=("relu",)) -> None:
         super().__init__()
@@ -277,8 +271,6 @@ class ActivationPruningTool(Tool):
 class AttentionPruningTool(Tool):
     """Block-Skim-style attention pruning: zero attention weights below a
     per-row relative threshold after softmax ops."""
-
-    effects = "pure"  # thresholding is a function of the attention weights
 
     def __init__(self, threshold_ratio: float = 0.1) -> None:
         super().__init__()

@@ -40,7 +40,6 @@ def quantize_dequantize(array: np.ndarray, bits: int = 8,
 
 
 class _QuantizationToolBase(Tool):
-    effects = "pure"  # quantize/dequantize is a function of the tensor
     QUANTIZED_TYPES = ("conv2d", "linear", "matmul")
 
     def __init__(self, bits: int = 8) -> None:
@@ -171,8 +170,6 @@ class ActivationCalibrationTool(Tool):
     ``percentile`` of |activation| per quantized operator, in encounter
     order, which :class:`CalibratedPTQTool` then consumes.
     """
-
-    effects = "pure"  # per-op-id range collection, order-independent
 
     def __init__(self, percentile: float = 99.9,
                  op_types=("conv2d", "linear", "matmul")) -> None:

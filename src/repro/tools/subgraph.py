@@ -32,8 +32,6 @@ def _identity(*arrays):
 class SubgraphRewritingTool(Tool):
     """Pattern-matched rewriting of operator chains."""
 
-    effects = "pure"  # rewrites compute from their inputs only
-
     def __init__(self, pattern: list[str],
                  rewrite: Callable[[list[OpContext]], list]) -> None:
         """``pattern`` is a chain of canonical op types, matched along data

@@ -35,7 +35,6 @@ class GraphTracingTool(Tool):
     """
 
     is_context_transform = True
-    effects = "pure"  # observation only: no graph-visible state
 
     def __init__(self) -> None:
         super().__init__()
@@ -113,8 +112,6 @@ class GraphTracingTool(Tool):
 
 class ExecutionTraceTool(Tool):
     """Records one event per operator execution; dumps Chrome trace JSON."""
-
-    effects = "pure"  # observation only: events carry their own timestamps
 
     def __init__(self) -> None:
         super().__init__()

@@ -9,7 +9,8 @@ full lowering: bit-identical outputs on 1 and 4 concurrent threads,
 instrumented and quarantined runs, training steps with in-place optimizer
 updates, seeded dropout recompute determinism, and the tracked peak
 equalling the schedule's simulated peak over 1 and 4 InceptionV3 training
-steps.
+steps.  The schedules of the analysis CLI's model zoo are pinned exactly, and
+the CLI rejects a malformed ``--budget``.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ import repro.amanda as amanda
 import repro.eager.alloc as alloc
 import repro.graph as G
 import repro.models.graph.builders as GM
+from repro.analysis.__main__ import _build_examples, main
 from repro.analysis.remat import plan_remat_for_graph
 from repro.graph import builder as gb
 from repro.tools.faulty import FaultyTool
@@ -300,3 +302,55 @@ class TestPlanCache:
                     sess.run(out, {x: xv})
             assert len(sess._plan_cache) == 4
             assert first_key not in sess._plan_cache  # plain LRU evicted it
+
+
+#: ``python -m repro.analysis remat``'s training graphs at
+#: ``int(0.6 * unbudgeted peak)``: (unbudgeted peak, schedule peak,
+#: recomputes, evicted ops, recompute FLOPs)
+ZOO_SCHEDULES = {
+    "bert": (205_216, 137_240, 247, 114, 1_332_360),
+    "inception": (582_768, 369_776, 41, 33, 40_987),
+    "mlp": (21_776, 18_704, 25, 9, 68_747),
+    "mobilenet": (2_892_784, 2_628_848, 46, 45, 33_059),
+    "resnet": (931_632, 611_632, 138, 74, 104_035),
+    "vgg": (305_232, 182_864, 45, 26, 1_020_352),
+}
+
+
+class TestZooSchedules:
+    @pytest.mark.parametrize("model", sorted(ZOO_SCHEDULES))
+    def test_schedule_pinned_at_60_percent_of_peak(self, model):
+        """Any change to the cost model or to what may be recomputed that
+        moves a zoo schedule shows up here."""
+        build, feeds = _build_examples()[model]
+        gm = build()
+        fetches = [gm.loss, gm.train_op]
+        peak, *want = ZOO_SCHEDULES[model]
+        unbudgeted = plan_remat_for_graph(gm.graph, fetches, budget=1 << 62,
+                                          feed_shapes=feeds)
+        assert unbudgeted.serial_peak == peak
+        sched = plan_remat_for_graph(gm.graph, fetches, budget=int(0.6 * peak),
+                                     feed_shapes=feeds)
+        assert [sched.serial_peak, sched.num_recomputes, len(sched.evicted),
+                sched.recompute_flops] == want
+
+
+class TestRematCLI:
+    @staticmethod
+    def _main(budget):
+        with np.errstate():  # the CLI silences numpy warnings process-wide
+            return main(["remat", "mlp", "--budget", budget])
+
+    @pytest.mark.parametrize("budget", ["12x", "-5", "inf"])
+    def test_malformed_budget_is_a_usage_error(self, budget, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._main(budget)
+        assert exc.value.code == 2
+        assert "invalid byte count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget,kib", [("3M", "3072.0"), ("0", "0.0")])
+    def test_budget_with_suffix_or_zero(self, budget, kib, capsys):
+        assert self._main(budget) == 0
+        out = capsys.readouterr().out
+        assert f"mlp: budget {kib} KiB" in out
+        assert out.endswith("PASS\n")
