@@ -6,11 +6,11 @@ Three claims ``repro.serve`` must back with numbers:
   1-in-100 sampled instrumentation delivers strictly more throughput than
   instrumenting every request (rate 1), because un-sampled requests take
   the exempt vanilla fast path instead of queueing on the lease;
-* **vanilla lane is near-free** — the un-sampled path through the pool,
-  queue and futures stays close to a bare ``session.run`` loop (the
-  machinery must not eat the fast path's win).  Warm direct-loop and
-  served rounds alternate in one process and their medians are compared,
-  so host noise moves both sides alike;
+* **vanilla lane is near-free** — the un-sampled path through the queue
+  and futures onto the graph's vanilla session stays close to a bare
+  ``session.run`` loop (the machinery must not eat the fast path's win).
+  Warm direct-loop and served rounds alternate in one process and their
+  medians are compared, so host noise moves both sides alike;
 * **workers scale the vanilla lane** — adding workers increases vanilla
   throughput (sampled execution is lease-serialized by design).
 
@@ -68,7 +68,7 @@ BATCH_SIZE = 8
 #: alternating direct/served rounds behind the vanilla-lane comparison
 VANILLA_ROUNDS = 3 if QUICK else 21
 #: large enough per-request batch that kernel work dominates the
-#: pool/batcher/future machinery in the vanilla-overhead comparison
+#: queue/batcher/future machinery in the vanilla-overhead comparison
 INPUT_SHAPE = (64, 16)
 
 
@@ -114,7 +114,7 @@ def _vanilla_rounds(model, feeds):
 
     Both sides are warm before the first round: the loop's session has
     compiled its plan, and the runtime, kept across rounds, has served
-    requests on its pooled session.  Returns the loop's median throughput
+    requests on its vanilla session.  Returns the loop's median throughput
     and the served rounds' median throughput with the lane's latencies.
     """
     session = model.session()

@@ -24,8 +24,7 @@ from .. import tools
 _sys.modules[__name__ + ".tools"] = tools
 from ..core.actions import Action, ActionType, IPoint
 from ..core.config import (Config, capture_enabled, config, memory_budget,
-                           plan_cache_size, sample_rate, serve_batch,
-                           serve_workers)
+                           plan_cache_size)
 from ..core.context import OpContext
 from ..core.faults import (ERROR_POLICIES, InstrumentationError, Provenance)
 from ..core.ids import LinearCongruentialGenerator, OpIdAssigner
@@ -42,6 +41,5 @@ __all__ = [
     "InstrumentationManager", "Interceptor", "LinearCongruentialGenerator",
     "OpIdAssigner", "tools", "error_policy", "InstrumentationError",
     "Provenance", "ERROR_POLICIES", "Config", "config", "plan_cache_size",
-    "capture_enabled", "serve_workers", "sample_rate", "serve_batch",
-    "memory_budget",
+    "capture_enabled", "memory_budget",
 ]

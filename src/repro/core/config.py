@@ -21,20 +21,6 @@ Current knobs:
   knob off the wrapper becomes a transparent pass-through to plain eager
   dispatch (no tracing, no guards), which is the safe rollback if a
   captured workload misbehaves in production.
-* ``serve_workers`` (env ``AMANDA_SERVE_WORKERS``, default ``2``) — worker
-  threads of a :class:`repro.serve.ServeRuntime`.  Each free worker takes
-  the oldest queued request (plus queued requests of the same tenant and
-  lane) off the shared request queue and executes them on pooled sessions;
-  ``"auto"`` resolves to the host CPU count.
-* ``sample_rate`` (env ``AMANDA_SAMPLE_RATE``, default ``1``) — sampled
-  instrumentation for the serving runtime: instrument 1-in-N requests per
-  tenant and route the rest through the vanilla fast path (an
-  instrumentation-exempt pooled session the graph driver never intercepts).
-  ``1`` instruments every request; ``0`` disables instrumentation entirely.
-* ``serve_batch`` (env ``AMANDA_SERVE_BATCH``, default ``8``) — the most
-  requests a serving worker takes from the queue at once: the oldest queued
-  request plus up to ``serve_batch - 1`` more already queued for the same
-  tenant and lane.  A worker never waits for a batch to fill.
 * ``memory_budget`` (env ``AMANDA_MEMORY_BUDGET``, default ``0`` = off) —
   activation-memory budget in bytes for the graph executor.  Accepts plain
   integers or ``K``/``M``/``G`` suffixes (``"512M"``).  With a budget set,
@@ -44,6 +30,10 @@ Current knobs:
   evicted at their scheduled last use and recomputed before later
   consumers, trading FLOPs for peak memory.  ``0`` disables budgeting (the
   executor still frees every intermediate at its last use).
+
+The serving runtime's worker count, batch size and sampling rate are
+arguments of :class:`repro.serve.ServeRuntime` and its ``register``, not
+knobs.
 """
 
 from __future__ import annotations
@@ -54,7 +44,7 @@ from functools import partial
 from typing import Any, Callable, NamedTuple
 
 __all__ = ["Config", "config", "plan_cache_size", "capture_enabled",
-           "serve_workers", "sample_rate", "serve_batch", "memory_budget"]
+           "memory_budget"]
 
 
 def _parse_int(value: str | int | None, default: int, minimum: int) -> int:
@@ -67,13 +57,6 @@ def _parse_int(value: str | int | None, default: int, minimum: int) -> int:
     except (TypeError, ValueError):
         return default
     return max(minimum, number)
-
-
-def _parse_workers(value: str | int | None, default: int) -> int:
-    """Parse a worker count: ``"auto"`` is the CPU count, else an int >= 1."""
-    if isinstance(value, str) and value.strip().lower() == "auto":
-        return max(1, os.cpu_count() or 1)
-    return _parse_int(value, default, minimum=1)
 
 
 def _parse_flag(value: str | bool | None, default: bool = True) -> bool:
@@ -127,11 +110,6 @@ KNOBS = (
     Knob("plan_cache_size", "AMANDA_PLAN_CACHE_SIZE", 64,
          partial(_parse_int, minimum=1)),
     Knob("capture", "AMANDA_CAPTURE", True, _parse_flag),
-    Knob("serve_workers", "AMANDA_SERVE_WORKERS", 2, _parse_workers),
-    Knob("sample_rate", "AMANDA_SAMPLE_RATE", 1,
-         partial(_parse_int, minimum=0)),
-    Knob("serve_batch", "AMANDA_SERVE_BATCH", 8,
-         partial(_parse_int, minimum=1)),
     Knob("memory_budget", "AMANDA_MEMORY_BUDGET", 0, _parse_bytes),
 )
 
@@ -143,9 +121,6 @@ class Config:
     # from ``KNOBS`` by name
     plan_cache_size: int
     capture: bool
-    serve_workers: int
-    sample_rate: int
-    serve_batch: int
     memory_budget: int
 
     def __init__(self) -> None:
@@ -192,13 +167,6 @@ plan_cache_size = _scoped(
     "plan_cache_size", "Scope-override the plan-cache LRU bound.")
 capture_enabled = _scoped(
     "capture", "Scope-override the symbolic-capture knob.")
-serve_workers = _scoped(
-    "serve_workers", "Scope-override the serving worker count.")
-sample_rate = _scoped(
-    "sample_rate", "Scope-override the 1-in-N instrumentation sampling rate.")
-serve_batch = _scoped(
-    "serve_batch",
-    "Scope-override how many same-key requests a worker takes at once.")
 memory_budget = _scoped(
     "memory_budget",
     "Scope-override the executor memory budget: bytes or a "

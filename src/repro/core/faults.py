@@ -27,10 +27,20 @@ See DESIGN.md, "Failure semantics", for the invariant table.
 
 from __future__ import annotations
 
-__all__ = ["Provenance", "InstrumentationError", "ERROR_POLICIES"]
+__all__ = ["Provenance", "InstrumentationError", "ERROR_POLICIES",
+           "check_error_policy"]
 
 #: valid values of ``manager.error_policy``
 ERROR_POLICIES = ("raise", "quarantine", "record")
+
+
+def check_error_policy(policy: str) -> str:
+    """Return ``policy`` if it is one of :data:`ERROR_POLICIES`; raise
+    ``ValueError`` otherwise."""
+    if policy not in ERROR_POLICIES:
+        raise ValueError(f"unknown error policy {policy!r} "
+                         f"(choose from {', '.join(ERROR_POLICIES)})")
+    return policy
 
 
 class Provenance:

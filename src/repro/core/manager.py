@@ -28,7 +28,7 @@ from ..eager import alloc
 from ..eager.dispatch import enable_grad, no_grad
 from .actions import Action, IPoint
 from .context import OpContext
-from .faults import ERROR_POLICIES, InstrumentationError, Provenance
+from .faults import InstrumentationError, Provenance, check_error_policy
 from .ids import OpIdAssigner
 from .plans import ExecutionPlan, PlanKind, compile_plan
 from .tool import Tool
@@ -360,10 +360,7 @@ class InstrumentationManager:
 
     # -- fault isolation -----------------------------------------------------------
     def set_error_policy(self, policy: str) -> None:
-        if policy not in ERROR_POLICIES:
-            raise ValueError(f"unknown error policy {policy!r} "
-                             f"(choose from {', '.join(ERROR_POLICIES)})")
-        self.error_policy = policy
+        self.error_policy = check_error_policy(policy)
 
     def record_failure(self, error: InstrumentationError) -> None:
         """Count a routine failure (full provenance) for :meth:`health`."""

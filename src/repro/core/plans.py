@@ -148,20 +148,15 @@ class ActionStep:
 
 
 class ReplaceStep:
-    """A replace action, compiled: the closure is bound once, at compile."""
+    """A replace action, compiled: its routine, kwargs and operand selector."""
 
-    __slots__ = ("action", "func", "kwargs", "indices", "forward_override")
+    __slots__ = ("action", "func", "kwargs", "indices")
 
     def __init__(self, action: Action) -> None:
         self.action = action
         self.func = action.func
         self.kwargs = action.kwargs
         self.indices = action.tensor_indices
-        if action.kwargs:
-            func, kwargs = action.func, action.kwargs
-            self.forward_override = lambda *arrays, **a: func(*arrays, **kwargs)
-        else:
-            self.forward_override = action.func
 
     def select(self, values: Sequence) -> list:
         """The values the replacement routine consumes."""
@@ -182,13 +177,13 @@ class ReplaceStep:
         return run
 
     def guarded_override(self, runner: Callable, provenance=None) -> Callable:
-        """A ``forward_override`` routed through ``run_instrumentation``.
+        """The eager dispatcher's ``forward_override`` for this replacement.
 
-        Unlike the raw :attr:`forward_override` closure, failures surface as
-        :class:`~repro.core.faults.InstrumentationError` with provenance and
-        the routine runs under AD/memory isolation, matching how replace
-        routines already execute in graph mode.  Call-time semantics match
-        ``forward_override``: recorded kwargs win over op attrs when present.
+        The routine runs through ``runner`` (``run_instrumentation``), so
+        failures surface as :class:`~repro.core.faults.InstrumentationError`
+        with provenance and the routine runs under AD/memory isolation,
+        matching how replace routines execute in graph mode.  The recorded
+        kwargs, when present, win over the op's attrs.
         """
         func, kwargs = self.func, self.kwargs
         if kwargs:

@@ -186,21 +186,14 @@ class Session:
         self.hooks: list[SessionRunHook] = list(hooks or [])
         #: LRU-ordered plan cache, bounded by ``config.plan_cache_size``
         self._plan_cache: OrderedDict[tuple, CompiledPlan] = OrderedDict()
-        #: plan-cache key -> tenant that compiled it (None outside serving)
-        self._plan_owner: dict[tuple, str | None] = {}
-        #: set by the serving runtime before each batch: entries compiled
-        #: while set are charged to this tenant, and eviction respects
-        #: per-tenant quotas (a tenant cycling budget-variant plans evicts
-        #: its own entries before touching another tenant's hot plans)
-        self.cache_tenant: str | None = None
         #: guards the plan cache: ``run()`` is safe to call from concurrent
         #: threads on a shared session (the serving runtime's hammer case) —
         #: LRU reorder and eviction happen under this lock
         self._state_lock = threading.RLock()
         #: instrumentation opt-out consulted by the Amanda graph driver: an
         #: exempt session always runs its vanilla graph even while tools are
-        #: active.  The serving runtime marks its vanilla-lane pooled
-        #: sessions exempt so an open instrumentation lease for one tenant
+        #: active.  The serving runtime marks each graph's vanilla-lane
+        #: session exempt so an open instrumentation lease for one tenant
         #: can never leak into another tenant's un-sampled requests.
         self.instrumentation_exempt = False
         self.run_count = 0
@@ -284,44 +277,16 @@ class Session:
                      if cached[0] == key[0] and cached[:3] != key[:3]]
             for cached in stale:
                 del self._plan_cache[cached]
-                self._plan_owner.pop(cached, None)
             plan = topo_plan([graph.get_operation(name) for name in fetch_ops])
             compiled = CompiledPlan(plan, fetch_ops,
                                     memory_budget=memory_budget,
                                     feed_shapes=feed_shapes)
             self._plan_cache[key] = compiled
-            self._plan_owner[key] = self.cache_tenant
             # distinct fetch tuples (and distinct graphs) are evicted
             # LRU-first: a long-lived session cycling fetch sets stays bounded
-            bound = max(1, config.plan_cache_size)
-            while len(self._plan_cache) > bound:
-                victim = self._cache_victim(bound)
-                del self._plan_cache[victim]
-                self._plan_owner.pop(victim, None)
+            while len(self._plan_cache) > max(1, config.plan_cache_size):
+                self._plan_cache.popitem(last=False)
             return compiled
-
-    def _cache_victim(self, bound: int) -> tuple:
-        """The plan-cache key to evict: quota-aware LRU.
-
-        With multiple tenants charged (serving), each gets an equal share of
-        the bound; the oldest entry of any tenant *over* its share goes
-        first, so one tenant churning through plan variants (e.g. per-budget
-        remat schedules) cannot evict another tenant's hot plans.  With one
-        or no tenants this degrades to plain LRU.
-        """
-        owners = {owner for owner in self._plan_owner.values()
-                  if owner is not None}
-        if len(owners) > 1:
-            quota = max(1, bound // len(owners))
-            counts: dict[str, int] = {}
-            for owner in self._plan_owner.values():
-                if owner is not None:
-                    counts[owner] = counts.get(owner, 0) + 1
-            for key in self._plan_cache:  # OrderedDict: oldest first
-                owner = self._plan_owner.get(key)
-                if owner is not None and counts.get(owner, 0) > quota:
-                    return key
-        return next(iter(self._plan_cache))
 
     def _run_impl(self, graph: Graph, fetches: list[GraphTensor],
                   feed: dict[str, np.ndarray]) -> list[np.ndarray]:
@@ -414,7 +379,6 @@ class Session:
         """
         with self._state_lock:
             self._plan_cache.clear()
-            self._plan_owner.clear()
 
     def __enter__(self) -> "Session":
         return self

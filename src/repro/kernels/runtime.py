@@ -76,9 +76,9 @@ class KernelRuntime:
         self._lock = threading.Lock()
         self._tls = threading.local()
         self.launch_count = 0
-        # opt-in per-kernel aggregation for the serving metrics endpoint:
-        # off, launch() stays the near-zero-overhead passthrough; on, each
-        # launch is timed and folded into per-name count/seconds totals
+        # opt-in per-kernel aggregation for ``stats()``: off, launch() stays
+        # the near-zero-overhead passthrough; on, each launch is timed and
+        # folded into per-name count/seconds totals
         self._counters_enabled = False
         self._kernel_counts: dict[str, int] = {}
         self._kernel_seconds: dict[str, float] = {}
@@ -98,7 +98,7 @@ class KernelRuntime:
         with self._lock:
             return bool(self._subscribers)
 
-    # -- metrics snapshot (serving endpoint) --------------------------------
+    # -- per-kernel counters (stats) ----------------------------------------
     def enable_counters(self, enabled: bool = True) -> None:
         """Toggle per-kernel count/seconds aggregation (``stats()``)."""
         with self._lock:
@@ -114,8 +114,7 @@ class KernelRuntime:
 
         Always carries ``launch_count`` and the subscriber population;
         ``per_kernel`` (name -> count/seconds) fills in while
-        :meth:`enable_counters` is on — the serving runtime turns it on so
-        ``serve.metrics()`` can export kernel activity per deployment.
+        :meth:`enable_counters` is on.
         """
         with self._lock:
             return {

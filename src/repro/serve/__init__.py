@@ -3,10 +3,9 @@
 Serve several tenants (graph + fetches + tool registry) concurrently from
 one process.  Requests queue per tenant and lane, and a free worker takes
 the oldest at once; 1-in-N requests run under that tenant's
-instrumentation and the rest take the vanilla fast path on pooled
-instrumentation-exempt sessions.  See
-:mod:`repro.serve.runtime` for the architecture notes and ``DESIGN.md``
-("Serving layer") for the rationale.
+instrumentation and the rest take the vanilla fast path on the graph's
+instrumentation-exempt session.  See :mod:`repro.serve.runtime` for the
+architecture notes and ``DESIGN.md`` ("Serving layer") for the rationale.
 
 Typical use::
 
@@ -18,7 +17,7 @@ Typical use::
     with rt:
         future = rt.submit(tenant, {"x": batch})
         probs = future.result(timeout=5.0)
-    print(serve.metrics()["runtimes"])
+    print(rt.snapshot()["tenants"]["resnet"]["latency"])
 """
 
 from .. import backends as _backends  # noqa: F401  (registers the backend
@@ -26,12 +25,11 @@ from .. import backends as _backends  # noqa: F401  (registers the backend
 # attached when the lease activates a tenant's tools, and ``repro.serve``
 # must work without a prior ``import repro.amanda``)
 from .batcher import MicroBatcher
-from .metrics import LatencyRecorder, metrics
-from .pool import SessionPool
+from .metrics import LatencyRecorder
 from .queue import ServeFuture, ServeRequest
 from .runtime import ServeRuntime, Tenant
 
 __all__ = [
-    "ServeRuntime", "Tenant", "MicroBatcher", "SessionPool",
-    "ServeFuture", "ServeRequest", "LatencyRecorder", "metrics",
+    "ServeRuntime", "Tenant", "MicroBatcher", "ServeFuture", "ServeRequest",
+    "LatencyRecorder",
 ]

@@ -7,9 +7,9 @@ worker never sleeps while work is queued and a lone request never waits for
 company.  The key whose head request is oldest is served first, so no
 tenant can starve another.
 
-A batch is a *dispatch* grouping only: its requests share one lease acquire
-or one pool checkout and still run one ``session.run`` each, so a served
-response stays bit-identical to a direct ``session.run``.
+A batch is a *dispatch* grouping only: its requests run back to back on
+one session (a sampled batch under one lease acquire), one ``session.run``
+each, so a served response stays bit-identical to a direct ``session.run``.
 
 The batcher is the single synchronization point between client threads
 (:meth:`put`) and serving workers (:meth:`take`); everything is guarded by
@@ -36,7 +36,7 @@ class MicroBatcher:
         #: present only while it has queued requests
         self._queues: dict[tuple, deque[ServeRequest]] = {}
         self._stopped = False
-        # observability (metrics endpoint)
+        # observability (``ServeRuntime.snapshot()["queue"]``)
         self.enqueued = 0
         self.batches = 0
 

@@ -1,29 +1,20 @@
-"""Serving observability: latency recorders and the metrics snapshot endpoint.
+"""Serving latency: a bounded recorder per tenant and lane.
 
 :class:`LatencyRecorder` is a fixed-size ring of latency samples with
 percentile readout — cheap enough to update on every request, bounded so a
-long-lived serving process cannot grow without limit.
-
-:func:`metrics` is the module-level "scrape" endpoint: it merges the live
-:class:`~repro.serve.runtime.ServeRuntime` snapshots (request/batch/latency
-counters, pool and queue stats) with the process-global instrumentation
-state — ``manager.health()``, ``manager.plan_stats()`` and the kernel
-runtime's launch counters — into one nested dict, the serving analogue of a
-Prometheus scrape.  Runtimes register themselves weakly, so a runtime that
-is garbage-collected (or stopped and dropped) silently leaves the snapshot.
+long-lived serving process cannot grow without limit.  Each tenant's
+recorders appear in :meth:`~repro.serve.runtime.ServeRuntime.snapshot`; the
+process-global state lives in ``manager.health()``, ``manager.plan_stats()``
+and the kernel runtime's ``stats()``.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 
 import numpy as np
 
-from ..core.manager import manager
-from ..kernels.runtime import runtime as kernel_runtime
-
-__all__ = ["LatencyRecorder", "metrics"]
+__all__ = ["LatencyRecorder"]
 
 
 class LatencyRecorder:
@@ -56,30 +47,3 @@ class LatencyRecorder:
             "mean_ms": float(window.mean()) * 1e3,
             "max_ms": float(window.max()) * 1e3,
         }
-
-
-# live ServeRuntime instances; weak so stopped-and-dropped runtimes vanish
-_runtimes: "weakref.WeakSet" = weakref.WeakSet()
-_registry_lock = threading.Lock()
-
-
-def _register(runtime) -> None:
-    with _registry_lock:
-        _runtimes.add(runtime)
-
-
-def metrics() -> dict:
-    """One merged observability snapshot for everything currently served.
-
-    ``runtimes`` maps each live runtime's name to its own snapshot;
-    ``health``/``plans``/``kernels`` expose the process-global manager and
-    kernel-runtime state shared by all of them.
-    """
-    with _registry_lock:
-        runtimes = list(_runtimes)
-    return {
-        "runtimes": {rt.name: rt.snapshot() for rt in runtimes},
-        "health": manager.health(),
-        "plans": manager.plan_stats(),
-        "kernels": kernel_runtime.stats(),
-    }

@@ -4,7 +4,8 @@ A :class:`ServeRequest` is one tenant inference call moving through the
 pipeline: submitted by a client thread, queued under its (tenant, lane) key
 by the :class:`~repro.serve.batcher.MicroBatcher`, taken by the next free
 worker (with any requests queued behind it under the same key), executed on
-a pooled session, and resolved through its :class:`ServeFuture`.
+its graph's vanilla or instrumented session, and resolved through its
+:class:`ServeFuture`.
 
 The future is deliberately tiny — an event plus a result/exception slot —
 because the serving runtime is thread-based: clients block on

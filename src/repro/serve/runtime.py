@@ -6,19 +6,24 @@ while keeping the paper's one-manager-per-process instrumentation model
 intact.  Requests reach the workers through a work-conserving queue
 (:class:`~repro.serve.batcher.MicroBatcher`): a free worker takes the oldest
 queued request at once, together with requests already queued for the same
-tenant and lane.  Such a batch shares one lease acquire or one pool
-checkout; each request still runs its own ``session.run``, so a served
-response is bit-identical to a direct one.  Three mechanisms make serving
-safe:
+tenant and lane.  A sampled batch shares one lease acquire; each request
+still runs its own ``session.run``, so a served response is bit-identical
+to a direct one.  Four mechanisms make serving safe:
+
+**Two sessions per graph.**  :meth:`ServeRuntime.register` hands each
+tenant the two sessions of its graph, made when the first tenant of that
+``Graph.fingerprint()`` registers and shared by every later one: a
+*vanilla* session marked ``instrumentation_exempt``, which the graph driver
+never intercepts, and an *instrumented* session, used only under the
+instrumentation lease.  ``Session.run`` is safe to call from concurrent
+threads, so every worker runs vanilla batches on the one vanilla session.
 
 **Sampled instrumentation.**  Running every request under instrumentation
 would serialize the whole service on the process-global manager.  Instead
 each tenant samples 1-in-N requests (``sample_rate``, deterministic per
 tenant: requests ``0, N, 2N, ...`` are sampled) onto the *instrumented
-lane*; the rest take the *vanilla lane* through pooled
-``instrumentation_exempt`` sessions that the graph driver never intercepts,
-so they run the uninstrumented fast path even while another tenant's tools
-are active.
+lane*; the rest take the *vanilla lane*, which runs the uninstrumented fast
+path even while another tenant's tools are active.
 
 **The instrumentation lease.**  Sampled batches run under a process-wide
 lease (an RLock) that serializes instrumented execution.  The lease is
@@ -27,11 +32,12 @@ back-to-back sampled batches from one tenant reuse the open activation.
 When a different tenant's sampled batch arrives the lease *swaps* tenants
 in place (:meth:`manager.replace_tools`): the drivers stay attached, and
 the graph driver keys its instrumented graphs by toolset, so a returning
-tenant finds its instrumented graph, and the pool's instrumented session
-its compiled plan, from the tenant's last turn.  The lease closes
+tenant finds its instrumented graph, and its instrumented session the
+compiled plan, from the tenant's last turn.  The lease closes
 (``deactivate``, dropping those caches) when the service goes idle, so an
 idle serving process leaves ``manager.active`` false and does not intercept
-unrelated code.
+unrelated code.  A lease that fails to open (a tool's ``on_apply`` raises)
+closes again before the error reaches the batch's futures.
 
 **Per-tenant fault isolation.**  Each tenant carries its own error policy
 and quarantine set.  On every lease swap the leaving tenant's quarantine is
@@ -46,11 +52,11 @@ from __future__ import annotations
 import threading
 import time
 
-from ..core.config import config
+from ..core.faults import check_error_policy
 from ..core.manager import manager
+from ..graph.session import Session
 from .batcher import MicroBatcher
-from .metrics import LatencyRecorder, _register
-from .pool import SessionPool
+from .metrics import LatencyRecorder
 from .queue import ServeFuture, ServeRequest
 
 __all__ = ["Tenant", "ServeRuntime"]
@@ -64,15 +70,18 @@ class Tenant:
     """One served model: graph + fetches + tool registry + sampling state."""
 
     def __init__(self, name: str, graph, fetches, tools=(),
-                 sample_rate: int | None = None,
+                 sample_rate: int = 1,
                  error_policy: str = "quarantine") -> None:
         self.name = name
         self.graph = graph
         self.fetches = fetches
         self.tools = tuple(tools)
-        self.sample_rate = (config.sample_rate if sample_rate is None
-                            else max(0, int(sample_rate)))
-        self.error_policy = error_policy
+        self.sample_rate = max(0, int(sample_rate))
+        self.error_policy = check_error_policy(error_policy)
+        #: the graph's vanilla and instrumented sessions, handed over by
+        #: :meth:`ServeRuntime.register`
+        self.vanilla: Session | None = None
+        self.instrumented: Session | None = None
         #: quarantine survives lease swaps: captured from the manager when
         #: this tenant's lease closes, re-applied when it reopens
         self.quarantined: set[str] = set()
@@ -122,21 +131,32 @@ class _InstrumentationLease:
         Reuses the open activation when ``tenant`` already holds the lease.
         Otherwise a closed lease opens with ``activate`` and an open one
         swaps the previous tenant's tools for this tenant's in place; either
-        way this tenant's error policy and quarantine set are applied.
+        way this tenant's error policy and quarantine set are applied.  If
+        any of that raises, the lease closes before the error propagates:
+        no tools stay active, the saved policy is back and the lock is free.
         """
         self._lock.acquire()
         if self._current is tenant:
             return
-        if self._current is None:
-            self._saved_policy = manager.error_policy
-            manager.activate(tenant.tools)
-        else:
-            # the swap clears the quarantine set: keep the leaving tenant's
-            self._current.quarantined = set(manager.quarantined)
-            manager.replace_tools(tenant.tools)
-        manager.set_error_policy(tenant.error_policy)
-        for name in sorted(tenant.quarantined):
-            manager.quarantine(name)
+        try:
+            if self._current is None:
+                self._saved_policy = manager.error_policy
+                manager.activate(tenant.tools)
+            else:
+                # the swap clears the quarantine set: keep the leaving tenant's
+                self._current.quarantined = set(manager.quarantined)
+                manager.replace_tools(tenant.tools)
+            manager.set_error_policy(tenant.error_policy)
+            for name in sorted(tenant.quarantined):
+                manager.quarantine(name)
+        except BaseException:
+            # close what opened; the failed tenant keeps its quarantine set
+            self._current = None
+            try:
+                self._deactivate()
+            finally:
+                self._lock.release()
+            raise
         self._current = tenant
         self.swaps += 1
 
@@ -147,20 +167,20 @@ class _InstrumentationLease:
     def close(self) -> None:
         """Deactivate the current tenant's tools (idle / shutdown path)."""
         with self._lock:
-            self._close_locked()
+            tenant = self._current
+            if tenant is None:
+                return
+            # deactivate() clears the quarantine set; capture it first so
+            # the tenant's quarantine survives until its lease reopens
+            tenant.quarantined = set(manager.quarantined)
+            self._current = None
+            self._deactivate()
 
-    def _close_locked(self) -> None:
-        tenant = self._current
-        if tenant is None:
-            return
-        # deactivate() clears the quarantine set; capture it first so the
-        # tenant's quarantine survives until its lease reopens
-        tenant.quarantined = set(manager.quarantined)
+    def _deactivate(self) -> None:
         manager.deactivate()
         if self._saved_policy is not None:
             manager.set_error_policy(self._saved_policy)
             self._saved_policy = None
-        self._current = None
 
     @property
     def open(self) -> bool:
@@ -170,41 +190,53 @@ class _InstrumentationLease:
 class ServeRuntime:
     """Concurrent multi-tenant serving loop over the graph backend."""
 
-    def __init__(self, name: str = "default", workers: int | None = None,
-                 batch_size: int | None = None,
+    def __init__(self, name: str = "default", workers: int = 2,
+                 batch_size: int = 8,
                  deadline_ms: float | None = None) -> None:
-        """``deadline_ms`` is accepted and ignored: the queue is
+        """``workers`` threads serve the queue; each takes up to
+        ``batch_size`` requests of one tenant and lane at once.
+
+        ``deadline_ms`` is accepted and ignored: the queue is
         work-conserving and holds no batch open waiting for company.  It
         stays only so that existing callers passing it keep working."""
         self.name = name
-        self.workers = (config.serve_workers if workers is None
-                        else max(1, int(workers)))
-        self._batcher = MicroBatcher(config.serve_batch if batch_size is None
-                                     else batch_size)
-        self._pool = SessionPool()
+        self.workers = max(1, int(workers))
+        self._batcher = MicroBatcher(batch_size)
         self._lease = _InstrumentationLease()
         self._tenants: dict[str, Tenant] = {}
+        #: graph fingerprint -> its (vanilla, instrumented) sessions
+        self._sessions: dict[tuple, tuple[Session, Session]] = {}
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._started = False
         self._stopping = False
         self.completed = 0
         self.batches_run = 0
-        _register(self)
 
     # -- tenants ---------------------------------------------------------------
     def register(self, name: str, graph, fetches, tools=(),
-                 sample_rate: int | None = None,
+                 sample_rate: int = 1,
                  error_policy: str = "quarantine") -> Tenant:
-        """Register a tenant; finalizes ``graph`` so its fingerprint is stable."""
+        """Register a tenant and hand it the two sessions of its graph.
+
+        Finalizes ``graph`` so its fingerprint is stable; tenants of the same
+        graph share its sessions.  An unknown ``error_policy`` raises
+        ``ValueError``.
+        """
         with self._lock:
             if name in self._tenants:
                 raise ValueError(f"tenant {name!r} already registered")
-            if not graph.finalized:
-                graph.finalize()
             tenant = Tenant(name, graph, fetches, tools,
                             sample_rate=sample_rate,
                             error_policy=error_policy)
+            if not graph.finalized:
+                graph.finalize()
+            key = graph.fingerprint()
+            if key not in self._sessions:
+                vanilla = Session(graph)
+                vanilla.instrumentation_exempt = True
+                self._sessions[key] = (vanilla, Session(graph))
+            tenant.vanilla, tenant.instrumented = self._sessions[key]
             self._tenants[name] = tenant
             return tenant
 
@@ -218,9 +250,9 @@ class ServeRuntime:
         """Enqueue one inference call; returns immediately with its future."""
         t = self._resolve(tenant)
         request = ServeRequest(t, feed or {}, sampled=t.draw())
+        self._batcher.put(request)  # raises once the runtime is stopped
         with t._lock:
             t.submitted += 1
-        self._batcher.put(request)
         return request.future
 
     def request(self, tenant, feed: dict | None = None,
@@ -247,7 +279,7 @@ class ServeRuntime:
 
         Every already-submitted request is still served (workers drain the
         queue before exiting); afterwards the lease is closed so
-        ``manager.active`` is false again and pooled sessions are released.
+        ``manager.active`` is false again and the sessions drop their plans.
         """
         with self._lock:
             self._stopping = True
@@ -256,7 +288,9 @@ class ServeRuntime:
         for thread in threads:
             thread.join()
         self._lease.close()
-        self._pool.close()
+        for sessions in self._sessions.values():
+            for session in sessions:
+                session.close()
 
     def __enter__(self) -> "ServeRuntime":
         return self.start()
@@ -278,22 +312,17 @@ class ServeRuntime:
 
     def _run_batch(self, batch: list[ServeRequest]) -> None:
         tenant = batch[0].tenant
-        lane = "sampled" if batch[0].sampled else "vanilla"
         try:
             if batch[0].sampled:
                 self._lease.acquire(tenant)
                 try:
-                    session = self._pool.instrumented(tenant.graph, tenant.name)
-                    self._run_requests(session, tenant, batch, lane)
+                    self._run_requests(tenant.instrumented, tenant, batch,
+                                       "sampled")
                 finally:
                     self._lease.release()
             else:
-                session = self._pool.checkout(tenant.graph, tenant.name)
-                try:
-                    self._run_requests(session, tenant, batch, lane)
-                finally:
-                    self._pool.checkin(tenant.graph, session)
-        except BaseException as error:  # batch-level failure (e.g. pool close)
+                self._run_requests(tenant.vanilla, tenant, batch, "vanilla")
+        except BaseException as error:  # the lease failed to open
             for request in batch:
                 if not request.future.done():
                     request.future.set_exception(error)
@@ -333,5 +362,4 @@ class ServeRuntime:
             "lease": {"open": self._lease.open, "swaps": self._lease.swaps},
             "tenants": {t.name: t.stats() for t in tenants},
             "queue": self._batcher.stats(),
-            "pool": self._pool.stats(),
         }

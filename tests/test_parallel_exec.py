@@ -9,7 +9,6 @@ back every byte it charged.
 """
 
 import gc
-import os
 import threading
 
 import numpy as np
@@ -427,16 +426,6 @@ KNOB_CASES = [
     ("capture", "AMANDA_CAPTURE", True,
      [("0", False), ("off", False), ("yes", True), ("maybe", True)],
      amanda.capture_enabled, False, False),
-    ("serve_workers", "AMANDA_SERVE_WORKERS", 2,
-     [("8", 8), ("not-a-number", 2), ("-3", 1),
-      ("auto", max(1, os.cpu_count() or 1))],
-     amanda.serve_workers, 6, 6),
-    ("sample_rate", "AMANDA_SAMPLE_RATE", 1,
-     [("10", 10), ("0", 0), ("-2", 0), ("x", 1)],
-     amanda.sample_rate, 5, 5),
-    ("serve_batch", "AMANDA_SERVE_BATCH", 8,
-     [("4", 4), ("0", 1), ("x", 8)],
-     amanda.serve_batch, 2, 2),
     ("memory_budget", "AMANDA_MEMORY_BUDGET", 0,
      [("3M", 3 << 20), ("512", 512), ("1.5k", 1536), ("-5", 0),
       ("junk", 0), ("inf", 0)],
@@ -456,7 +445,7 @@ class TestConfig:
                 monkeypatch.setenv(env, raw)
                 assert getattr(Config(), field) == parsed, (field, raw)
             monkeypatch.delenv(env)
-        # the provenance line prints vars(config): exactly the six knobs
+        # the provenance line prints vars(config): exactly the three knobs
         assert list(vars(Config())) == [case[0] for case in KNOB_CASES]
 
     def test_scoped_override_restores(self):

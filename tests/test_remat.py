@@ -273,24 +273,6 @@ class TestPlanCache:
                 sess.run(out, {x: xv})
             assert len(sess._plan_cache) == 3
 
-    def test_tenant_quota_protects_hot_plans(self, rng):
-        """One tenant churning budget variants cannot evict another
-        tenant's plan: with two charged tenants each owns half the bound."""
-        g, x, out = ladder_graph()
-        xv = rng.standard_normal((32, 64))
-        with G.Session(g) as sess, amanda.plan_cache_size(4):
-            sess.cache_tenant = "steady"
-            sess.run(out, {x: xv})
-            steady_key = next(iter(sess._plan_cache))
-            sess.cache_tenant = "churner"
-            for budget in (4, 5, 6, 7, 8, 9):
-                with amanda.memory_budget(budget * ACT):
-                    sess.run(out, {x: xv})
-            assert len(sess._plan_cache) == 4
-            assert steady_key in sess._plan_cache
-            owners = [sess._plan_owner[k] for k in sess._plan_cache]
-            assert owners.count("churner") == 3
-
     def test_untenanted_churn_falls_back_to_global_lru(self, rng):
         g, x, out = ladder_graph()
         xv = rng.standard_normal((32, 64))

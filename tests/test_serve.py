@@ -2,7 +2,8 @@
 
 Covers the work-conserving queue's ordering and batch sizes, future
 resolution, deterministic per-tenant sampling, end-to-end submit/result,
-drain-on-stop, the sticky lease's idle close, and the metrics endpoint —
+drain-on-stop, the sticky lease's idle close, the runtime snapshot, the
+sessions tenants of one graph share, and a lease that fails to open —
 plus regression tests for the falsy-empty-graph fallbacks fixed in the same
 change (an empty ``Graph`` has ``len() == 0`` and is falsy, so truthiness
 checks silently redirected ops to the default graph).
@@ -17,9 +18,11 @@ import time
 import numpy as np
 import pytest
 
+import repro.amanda as amanda
 from repro import serve
 from repro.amanda import manager
 from repro.graph import builder as gb
+from repro.graph import session as session_module
 from repro.graph.core import Graph, default_graph
 from repro.models.graph.builders import build_mlp
 from repro.serve.batcher import MicroBatcher
@@ -210,6 +213,8 @@ class TestServeRuntime:
         assert rt.snapshot()["completed"] == 6
         with pytest.raises(RuntimeError):
             rt.submit(tenant, {})
+        # the refused request is not counted
+        assert rt.snapshot()["tenants"]["mlp"]["submitted"] == 6
 
     def test_lone_request_does_not_wait_for_a_batch(self, rng):
         model = build_mlp(seed=6)
@@ -262,15 +267,60 @@ class TestServeRuntime:
         with rt:
             rt.request(tenant, {model.inputs: rng.standard_normal((2, 16))},
                        timeout=30.0)
-            snap = serve.metrics()
-        assert set(snap) == {"runtimes", "health", "plans", "kernels"}
-        mine = snap["runtimes"]["metrics-shape"]
-        assert mine["completed"] == 1
-        lat = mine["tenants"]["mlp"]["latency"]["vanilla"]
+            snap = rt.snapshot()
+        assert set(snap) == {"workers", "started", "stopping", "completed",
+                             "batches_run", "lease", "tenants", "queue"}
+        assert snap["completed"] == 1
+        assert snap["queue"]["enqueued"] == snap["queue"]["batches"] == 1
+        lat = snap["tenants"]["mlp"]["latency"]["vanilla"]
         assert lat["count"] == 1
         assert lat["p99_ms"] >= lat["p50_ms"] >= 0.0
-        assert "launch_count" in snap["kernels"]
-        assert "compiled" in snap["plans"]
+
+    def test_tenants_of_one_graph_share_its_sessions(self, rng,
+                                                     monkeypatch):
+        """Two tenants of one graph at four workers, all traffic vanilla:
+        one vanilla plan serves both, bit-identical to a direct run, and
+        the shared session counts every run."""
+        model = build_mlp(seed=12)
+        feeds = [{model.inputs: rng.standard_normal((4, 16))}
+                 for _ in range(48)]
+        session = model.session()
+        references = [session.run(model.logits, f) for f in feeds]
+        session.close()
+        compiled = []
+
+        class CountingPlan(session_module.CompiledPlan):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                compiled.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "CompiledPlan", CountingPlan)
+        rt = serve.ServeRuntime("shared", workers=4, batch_size=2)
+        first = rt.register("first", model.graph, model.logits)
+        second = rt.register("second", model.graph, model.logits)
+        assert first.vanilla is second.vanilla
+        assert first.instrumented is second.instrumented
+        assert first.vanilla.instrumentation_exempt
+        assert not first.instrumented.instrumentation_exempt
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with rt:
+                futures = [rt.submit(second if k % 2 else first, feed)
+                           for k, feed in enumerate(feeds)]
+                outs = [future.result(timeout=30.0) for future in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for out, ref in zip(outs, references):
+            np.testing.assert_array_equal(out, ref)
+        assert len(compiled) == 1, "the shared vanilla plan was rebuilt"
+        assert first.vanilla.run_count == len(feeds)
+        assert first.instrumented.run_count == 0
+        tenants = rt.snapshot()["tenants"]
+        assert tenants["first"]["vanilla"] == tenants["second"]["vanilla"] \
+            == len(feeds) // 2
 
     def test_duplicate_tenant_rejected(self):
         model = build_mlp(seed=0)
@@ -279,6 +329,68 @@ class TestServeRuntime:
         with pytest.raises(ValueError):
             rt.register("mlp", model.graph, model.logits)
         rt.stop()
+
+
+class _ApplyFails(ActivationPruningTool):
+    """A tool that cannot become active."""
+
+    def on_apply(self):
+        raise RuntimeError("on_apply failed")
+
+
+def _stops(rt, timeout=10.0) -> bool:
+    """Stop ``rt`` on a daemon thread; False when ``stop()`` hangs."""
+    thread = threading.Thread(target=rt.stop, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive()
+
+
+class TestLeaseFailure:
+    """A lease that fails to open must not wedge the runtime."""
+
+    def test_unknown_error_policy_rejected_at_register(self):
+        model = build_mlp(seed=0)
+        rt = serve.ServeRuntime("bogus-policy")
+        with pytest.raises(ValueError, match="error policy"):
+            rt.register("mlp", model.graph, model.logits,
+                        tools=(ActivationPruningTool(keep_ratio=0.5),),
+                        error_policy="bogus")
+        assert rt.snapshot()["tenants"] == {}
+        assert _stops(rt)
+
+    def test_failed_activation_closes_the_lease(self, rng):
+        """The first failure opens the closed lease, the second most likely
+        swaps it from the healthy tenant; both must leave nothing open."""
+        model = build_mlp(seed=10)
+        feed = {model.inputs: rng.standard_normal((2, 16))}
+        session = model.session()
+        with amanda.apply(ActivationPruningTool(keep_ratio=0.25)):
+            reference = session.run(model.logits, feed)
+        session.close()
+        policy = manager.error_policy
+        rt = serve.ServeRuntime("apply-fails", workers=2, batch_size=1)
+        bad = rt.register("bad", model.graph, model.logits,
+                          tools=(_ApplyFails(),))
+        good = rt.register("good", model.graph, model.logits,
+                           tools=(ActivationPruningTool(keep_ratio=0.25),))
+        rt.start()
+        outs = []
+        try:
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="on_apply failed"):
+                    rt.request(bad, feed, timeout=10.0)
+                assert not manager.active
+                assert manager.error_policy == policy
+                outs.append(rt.request(good, feed, timeout=10.0))
+        finally:
+            stopped = _stops(rt)
+        assert stopped, "stop() hung after a lease failed to open"
+        assert not manager.active
+        assert manager.error_policy == policy
+        for out in outs:
+            np.testing.assert_array_equal(out, reference)
+        assert rt.snapshot()["tenants"]["good"]["sampled"] == 2
 
 
 class TestEmptyGraphFallbacks:
