@@ -42,7 +42,8 @@ def run_all():
                       op_type="relu", always=True)
     with amanda.error_policy("record"), amanda.apply(tool) as mgr:
         failing = wall_time(lambda: model(x), repeats=REPEATS)
-        faults_per_iter = mgr.health()["errors"] / (REPEATS + 1)  # + warmup
+        faults_per_iter = (mgr.snapshot()["faults"]["errors"]
+                           / (REPEATS + 1))  # + warmup
 
     # quarantine policy: one fault disables the tool, steady state is vanilla
     tool = FaultyTool(i_point="before_forward_op", mode="instrumentation",

@@ -76,7 +76,8 @@ def cached_path_plan_stats():
 
     This is what the execution-plan layer optimizes: once actions are
     compiled into plans, a cached op call costs one dict lookup plus a plan
-    invocation.  Counters come from ``manager.plan_stats()``.
+    invocation.  Counters come from ``manager.snapshot()["plans"]``; the
+    replays are those of the timed iterations.
     """
     rng = np.random.default_rng(0)
     model = M.resnet18()
@@ -89,16 +90,17 @@ def cached_path_plan_stats():
             for _ in range(3):  # warm: trace, cache, compile plans
                 model(x)
             mgr.reset_timers()
+            replays_before = mgr.snapshot()["plans"]["replays"]
             t0 = time.perf_counter()
             for _ in range(iters):
                 model(x)
             wall = time.perf_counter() - t0
             ops = len(mgr.action_cache)
-            stats = mgr.plan_stats()
-            replays = sum(s["replays"] for s in stats["ops"].values())
+            plans = mgr.snapshot()["plans"]
+            replays = plans["replays"] - replays_before
             fw_per_op_us = 1e6 * mgr.timers["framework"] / max(1, ops * iters)
             rows.append((name, ops, fw_per_op_us, wall / iters * 1e3,
-                         replays, dict(stats["by_kind"])))
+                         replays, plans["by_kind"]))
     return rows
 
 

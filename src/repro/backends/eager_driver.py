@@ -84,8 +84,6 @@ class EagerDriver(BackendDriver):
         #: (``forward_plan``/``context``) — cleared at iteration boundaries
         #: and on detach so no plan or context outlives its apply scope
         self._pending_calls: list[OpCall] = []
-        #: ops continued vanilla after a contained tool failure (health)
-        self.recovered = 0
         #: bytes analysed contexts charged to the ``amanda`` scope and not
         #: yet released: the action cache's records stand for them, so
         #: clearing that cache or detaching releases them
@@ -140,9 +138,6 @@ class EagerDriver(BackendDriver):
             self._clear_pending()
         self._last_top_module = module
 
-    def health(self) -> dict:
-        return {"recovered": self.recovered}
-
     def _prov(self, op_id, op_type: str, i_point: str,
               tool: str | None = None) -> Provenance:
         return Provenance(tool=tool, op_id=op_id, op_type=op_type,
@@ -170,7 +165,6 @@ class EagerDriver(BackendDriver):
                 return self._trace_forward(opdef, inputs, attrs, op_id, span)
 
             plan = mgr.plan_for(cached, op_id=op_id)
-            plan.replays += 1
             if plan.kind is PlanKind.VANILLA:
                 # this op instance was analyzed and left alone
                 mgr.end_span(span)
@@ -192,7 +186,7 @@ class EagerDriver(BackendDriver):
                     # the same op id instead of drifting
                     mgr.ids.retract(opdef.name)
                 raise
-            self.recovered += 1
+            mgr.count_fallback("eager.vanilla_op")
             mgr.end_span(span)
             return vanilla_apply(opdef, inputs, attrs)
         finally:
@@ -213,7 +207,6 @@ class EagerDriver(BackendDriver):
                                 provenance=self._prov(op_id, opdef.name,
                                                       "before_forward_op"))
             if mutated:
-                plan.mutations += 1
                 exec_inputs = tuple(values)
         mgr.end_span(span)
         result = vanilla_apply(opdef, exec_inputs, attrs,
@@ -243,7 +236,7 @@ class EagerDriver(BackendDriver):
         except InstrumentationError:
             if mgr.error_policy == "raise":
                 raise
-            self.recovered += 1
+            mgr.count_fallback("eager.kept_outputs")
         finally:
             mgr.end_span(span)
 
@@ -270,8 +263,6 @@ class EagerDriver(BackendDriver):
                 mgr.run_instrumentation,
                 self._prov(op_id, opdef.name, "replace_op",
                            tool=forward.replace.action.tool))
-        if forward_override is not None or exec_inputs is not inputs:
-            plan.mutations += 1
         mgr.end_span(span)
 
         result = vanilla_apply(opdef, exec_inputs, attrs,
@@ -295,7 +286,7 @@ class EagerDriver(BackendDriver):
         except InstrumentationError:
             if mgr.error_policy == "raise":
                 raise
-            self.recovered += 1
+            mgr.count_fallback("eager.kept_outputs")
         finally:
             mgr.end_span(span)
         return result
@@ -373,7 +364,7 @@ class EagerDriver(BackendDriver):
             # in _instrumented_call unwinds and propagates
             if mgr.error_policy == "raise":
                 raise
-            self.recovered += 1
+            mgr.count_fallback("eager.kept_outputs")
         finally:
             mgr.end_span(span)
         return result
@@ -427,7 +418,7 @@ class EagerDriver(BackendDriver):
                     record = mgr.action_cache.get(fwd_id)
                     if record is not None:
                         forward_plan = mgr.plan_for(record, op_id=fwd_id,
-                                                    count_hit=False)
+                                                    replay=False)
                         op_call.metadata["forward_plan"] = forward_plan
                     else:
                         forward_plan = None
@@ -439,7 +430,6 @@ class EagerDriver(BackendDriver):
                                             inherited, op_call, span)
 
             plan = mgr.plan_for(cached, op_id=bwd_id)
-            plan.replays += 1
             if plan.kind is PlanKind.VANILLA and inherited.empty:
                 mgr.end_span(span)
                 return bdef.fn(node.ctx, grad_outputs)
@@ -456,7 +446,7 @@ class EagerDriver(BackendDriver):
                 if bwd_id not in mgr.action_cache:
                     mgr.backward_ids.retract(bdef.name)
                 raise
-            self.recovered += 1
+            mgr.count_fallback("eager.vanilla_op")
             mgr.end_span(span)
             return bdef.fn(node.ctx, grad_outputs)
         finally:
@@ -496,7 +486,7 @@ class EagerDriver(BackendDriver):
             provenance)
         if not isinstance(grads, dict):
             # a wrong-shaped return is a tool failure like any other: wrap
-            # it so policy-driven recovery and health provenance apply
+            # it so policy-driven recovery and failure provenance apply
             error = InstrumentationError(
                 TypeError("replace_backward_op routines must return a dict "
                           "{forward_input_index: grad}"),
@@ -517,7 +507,7 @@ class EagerDriver(BackendDriver):
         except InstrumentationError:
             if mgr.error_policy == "raise":
                 raise
-            self.recovered += 1
+            mgr.count_fallback("eager.kept_outputs")
             return grads
         finally:
             mgr.end_span(span)
@@ -588,7 +578,7 @@ class EagerDriver(BackendDriver):
             # under the non-raise policies instead of recomputing vanilla
             if mgr.error_policy == "raise":
                 raise
-            self.recovered += 1
+            mgr.count_fallback("eager.kept_outputs")
         finally:
             mgr.end_span(span)
         return grads

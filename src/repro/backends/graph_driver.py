@@ -35,7 +35,7 @@ from ..core.faults import InstrumentationError, Provenance
 from ..core.ids import OpIdAssigner
 from ..core.interceptor import Interceptor
 from ..core.manager import register_driver_factory
-from ..core.plans import (ExecutionPlan, PlanKind, PlanSlice, compile_actions)
+from ..core.plans import ExecutionPlan, PlanSlice, compile_actions
 from ..eager import alloc
 from ..graph.core import SKIP_TYPES, Graph, Operation
 from ..graph.rewrite import GraphRewriter, copy_graph
@@ -51,8 +51,6 @@ class _Instrumented(NamedTuple):
     graph: Graph
     #: tensor name -> inserted wrapper output the fetch is redirected to
     redirects: dict
-    #: compiled per-op execution plans
-    plans: list
     #: bytes charged to the ``amanda`` allocation scope while it lives
     charge: int
 
@@ -84,15 +82,8 @@ class GraphDriver(BackendDriver):
         self.verify = verify
         #: per-op contexts of the most recent rewrite (lint-pass input)
         self.last_contexts: list[OpContext] = []
-        #: compiled plans of the most recent rewrite (plan_stats input)
-        self.last_plans: list[ExecutionPlan] = []
         #: verification report of the most recent rewrite (when verifying)
         self.last_report = None
-        #: runs served by the vanilla graph after a contained failure
-        self.vanilla_fallbacks = 0
-        #: executor stats of the most recently intercepted session run:
-        #: plan-cache occupancy
-        self.last_executor_stats: dict | None = None
 
     @property
     def _should_verify(self) -> bool:
@@ -115,14 +106,7 @@ class GraphDriver(BackendDriver):
         self.cache_hits = 0
         self.cache_misses = 0
         self.last_contexts = []
-        self.last_plans = []
         self.last_report = None
-        self.vanilla_fallbacks = 0
-        self.last_executor_stats = None
-
-    def health(self) -> dict:
-        return {"vanilla_fallbacks": self.vanilla_fallbacks,
-                "rewrite_count": self.rewrite_count}
 
     # -- run interception ----------------------------------------------------------
     def _intercept_run(self, session: Session, fetches, feed, run_impl):
@@ -151,7 +135,7 @@ class GraphDriver(BackendDriver):
                     mgr.record_failure(InstrumentationError(
                         exc, Provenance(backend=self.namespace),
                         phase="rewrite"))
-                self.vanilla_fallbacks += 1
+                mgr.count_fallback("graph.vanilla_graph")
                 return run_impl(session.graph, fetches, feed)
             if caching:
                 # analysis may have quarantined a tool mid-rewrite: store
@@ -160,9 +144,6 @@ class GraphDriver(BackendDriver):
                 self._cache_put(self._key(session.graph), entry)
         else:
             self.cache_hits += 1
-            for plan in entry.plans:
-                plan.hits += 1
-                plan.replays += 1
         mapped = []
         for tensor in fetches:
             target = entry.redirects.get(tensor.name)
@@ -177,13 +158,11 @@ class GraphDriver(BackendDriver):
             # policy says propagate (provenance already recorded)
             if mgr.error_policy == "raise":
                 raise
-            self.vanilla_fallbacks += 1
+            mgr.count_fallback("graph.vanilla_graph")
             return run_impl(session.graph, fetches, feed)
         finally:
             if not caching:
                 self._release(entry)  # an uncached rewrite dies with its run
-            # post-run snapshot: the plan cache the run produced
-            self._capture_executor_stats(session)
 
     # -- instrumented-graph cache (LRU, bounded) --------------------------------
     def _key(self, graph: Graph) -> tuple:
@@ -215,11 +194,6 @@ class GraphDriver(BackendDriver):
         with self._cache_lock:
             self._charged -= entry.charge
             alloc.tracker.release(entry.charge, "amanda")
-
-    def _capture_executor_stats(self, session: Session) -> None:
-        self.last_executor_stats = {
-            "plan_cache_entries": len(getattr(session, "_plan_cache", ())),
-        }
 
     # -- rewriting ---------------------------------------------------------------
     def _instrument_graph(self, graph: Graph,
@@ -278,7 +252,6 @@ class GraphDriver(BackendDriver):
         # Phase 2: compile each context's actions into an execution plan and
         # realize the plan's slices as graph edits (static replay — the
         # instrumented graph *is* the compiled form of the plan).
-        plans: list[ExecutionPlan] = []
         plan_by_context: dict[int, ExecutionPlan] = {}
         for op, context in analyzed:
             plan = compile_actions(context.actions, epoch=mgr.tool_epoch,
@@ -286,7 +259,6 @@ class GraphDriver(BackendDriver):
                                    user_state=context.has_user_state,
                                    context=context,
                                    exclude_tools=mgr.quarantined)
-            plans.append(plan)
             plan_by_context[id(context)] = plan
             self._realize_forward(rewriter, op, plan.forward, redirects)
         for bop, bcontext, fcontext in backward_analyzed:
@@ -296,7 +268,6 @@ class GraphDriver(BackendDriver):
                                             op_id=bcontext.get("_backward_op_id"),
                                             context=bcontext,
                                             exclude_tools=mgr.quarantined)
-            plans.append(backward_plan)
             # a backward op is addressable by its raw type or the normalized
             # name a mapping tool wrote into the context
             names = (bcontext.get("backward_type") or bop.type, bop.type)
@@ -307,7 +278,6 @@ class GraphDriver(BackendDriver):
         self.last_contexts = ([context for _, context in analyzed]
                               + [bcontext for _, bcontext, _
                                  in backward_analyzed])
-        self.last_plans = plans
 
         if self._should_verify:
             # lazy import: analysis sits above the driver in the layering
@@ -316,7 +286,7 @@ class GraphDriver(BackendDriver):
                 clone, feed_shapes=feed_shapes, redirects=redirects,
                 source_graph=graph, raise_on_error=True)
 
-        return _Instrumented(clone, redirects, plans, charge)
+        return _Instrumented(clone, redirects, charge)
 
     # -- contexts -------------------------------------------------------------------
     def _symbolic_inputs(self, graph: Graph, op: Operation) -> list[SymbolicInput]:
@@ -485,22 +455,6 @@ class GraphDriver(BackendDriver):
                 tags=self._TAGS)
             for index, tensor in enumerate(bop.outputs):
                 redirects.setdefault(tensor.name, node.outputs[index])
-
-    # -- observability ----------------------------------------------------------------
-    def plan_stats(self) -> dict:
-        """Per-graph plan counters (merged into ``manager.plan_stats()``)."""
-        by_kind = {kind.value: 0 for kind in PlanKind}
-        ops: dict = {}
-        for entry in self._graph_cache.values():
-            for plan in entry.plans:
-                by_kind[plan.kind.value] += 1
-                if plan.op_id is not None:
-                    ops[plan.op_id] = plan.stats()
-        return {"graphs": len(self._graph_cache),
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "ops": ops, "by_kind": by_kind,
-                "executor": self.last_executor_stats}
 
 
 register_driver_factory(GraphDriver)

@@ -43,8 +43,6 @@ class OnnxDriver(BackendDriver):
         self._interceptor = Interceptor()
         #: node identity -> stable op id
         self._node_ids: dict[int, int] = {}
-        #: nodes continued vanilla after a contained tool failure (health)
-        self.recovered = 0
 
     def attach(self) -> None:
         self._interceptor.patch(InferenceSession, "node_interceptor",
@@ -53,9 +51,6 @@ class OnnxDriver(BackendDriver):
     def detach(self) -> None:
         self._interceptor.restore_all()
         self._node_ids.clear()
-
-    def health(self) -> dict:
-        return {"recovered": self.recovered}
 
     def _prov(self, op_id: int, node: Node, i_point: str,
               tool: str | None = None) -> Provenance:
@@ -89,7 +84,7 @@ class OnnxDriver(BackendDriver):
                     del self._node_ids[id(node)]
                     mgr.ids.retract(f"onnx/{node.name or node.op_type}")
                 raise
-            self.recovered += 1
+            mgr.count_fallback("onnx.vanilla_node")
             mgr.end_span(span)
             return run_node(node, inputs)
         finally:
@@ -114,7 +109,6 @@ class OnnxDriver(BackendDriver):
             plan = record.plan
         else:
             plan = mgr.plan_for(cached, op_id=op_id)
-            plan.replays += 1
             if plan.kind is PlanKind.VANILLA:
                 mgr.end_span(span)
                 return run_node(node, inputs)
@@ -122,11 +116,9 @@ class OnnxDriver(BackendDriver):
         forward = plan.forward
         values = list(inputs)
         if forward.before:
-            if run_steps(forward.before, values, NDARRAY_ADAPTER,
-                         mgr.run_instrumentation, clamp=True,
-                         provenance=self._prov(op_id, node,
-                                               "before_forward_op")):
-                plan.mutations += 1
+            run_steps(forward.before, values, NDARRAY_ADAPTER,
+                      mgr.run_instrumentation, clamp=True,
+                      provenance=self._prov(op_id, node, "before_forward_op"))
         mgr.end_span(span)
 
         if forward.replace is not None:
@@ -152,7 +144,7 @@ class OnnxDriver(BackendDriver):
                 # non-raise policies instead of re-executing vanilla
                 if mgr.error_policy == "raise":
                     raise
-                self.recovered += 1
+                mgr.count_fallback("onnx.kept_outputs")
             finally:
                 mgr.end_span(span)
         return outputs

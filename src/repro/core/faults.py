@@ -19,8 +19,13 @@ fault-isolation layer:
   - ``"quarantine"``: disable the offending tool's analysis routines, drop
     its recorded actions from recompiled plans (via the existing
     ``tool_epoch`` invalidation mechanism) and continue executing vanilla;
-  - ``"record"``: count the failure in ``manager.health()`` and continue —
-    the tool stays active and may fail again on later executions.
+  - ``"record"``: count the failure in ``manager.snapshot()["faults"]``
+    and continue — the tool stays active and may fail again on later
+    executions;
+
+* :data:`FALLBACK_REASONS` — what a driver substituted when it contained a
+  failure under a policy other than ``"raise"``; the manager counts each
+  in ``manager.snapshot()["fallbacks"]``.
 
 See DESIGN.md, "Failure semantics", for the invariant table.
 """
@@ -28,10 +33,22 @@ See DESIGN.md, "Failure semantics", for the invariant table.
 from __future__ import annotations
 
 __all__ = ["Provenance", "InstrumentationError", "ERROR_POLICIES",
-           "check_error_policy"]
+           "FALLBACK_REASONS", "check_error_policy"]
 
 #: valid values of ``manager.error_policy``
 ERROR_POLICIES = ("raise", "quarantine", "record")
+
+#: fallback reason codes, ``<backend>.<what ran instead>``:
+#:
+#: * ``vanilla_op`` / ``vanilla_node``: the op re-ran without its tools, on
+#:   its original inputs;
+#: * ``kept_outputs``: a routine failed after the op ran, and the outputs
+#:   it had computed stand;
+#: * ``vanilla_graph``: the run used the vanilla graph, because the rewrite
+#:   or a routine inside the instrumented graph failed.
+FALLBACK_REASONS = ("eager.vanilla_op", "eager.kept_outputs",
+                    "onnx.vanilla_node", "onnx.kept_outputs",
+                    "graph.vanilla_graph")
 
 
 def check_error_policy(policy: str) -> str:
@@ -105,7 +122,8 @@ class InstrumentationError(RuntimeError):
         return self.provenance.tool
 
     def summary(self) -> dict:
-        """The dict ``manager.health()`` reports for this failure."""
+        """The dict ``manager.snapshot()["faults"]["recent"]`` holds for
+        this failure."""
         entry = self.provenance.as_dict()
         entry["phase"] = self.phase
         entry["error"] = f"{type(self.original).__name__}: {self.original}"

@@ -13,7 +13,10 @@ The manager is the backend-independent layer (Fig. 3).  It
   not alter the backward graph unless explicitly enabled) and tool-scoped
   memory accounting;
 * exposes the control APIs of Lst. 5 (``apply``/``disabled``/``enabled``/
-  ``cache_disabled``/``cache_enabled``).
+  ``cache_disabled``/``cache_enabled``);
+* keeps the process-level counters — failures, the drivers' fallbacks,
+  plan compiles and replays — and reports them, with the kernel launches,
+  in one :meth:`InstrumentationManager.snapshot`.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from typing import Callable
 
 from ..eager import alloc
 from ..eager.dispatch import enable_grad, no_grad
+from ..kernels.runtime import runtime as kernel_runtime
 from .actions import Action, IPoint
 from .context import OpContext
-from .faults import InstrumentationError, Provenance, check_error_policy
+from .faults import (FALLBACK_REASONS, InstrumentationError, Provenance,
+                     check_error_policy)
 from .ids import OpIdAssigner
 from .plans import ExecutionPlan, PlanKind, compile_plan
 from .tool import Tool
@@ -107,13 +112,16 @@ class InstrumentationManager:
         #: compiled per-op plans (``plan_for``) are stale once it moves
         self.tool_epoch = 0
         self._drivers: list = []
-        self._depth = 0
+        #: the toolset of each enclosing apply scope, innermost last
+        self._enclosing: list[list[Tool]] = []
         # Fig. 11 breakdown accounting
         self.timers = {"framework": 0.0, "tool": 0.0}
-        # plan-layer observability (plan_stats)
+        # plan totals (snapshot()["plans"]); bumped unlocked on the replay
+        # path, like the timers
         self._plans_compiled = 0
         self._plans_recompiled = 0
-        # fault-isolation layer (health)
+        self._plan_replays = 0
+        # fault-isolation layer (snapshot()["faults"] and ["fallbacks"])
         #: what happens when a tool routine raises: "raise" | "quarantine"
         #: | "record" (see repro.core.faults)
         self.error_policy = "raise"
@@ -125,10 +133,11 @@ class InstrumentationManager:
         self._errors_by_tool: dict[str, int] = {}
         self._errors_by_i_point: dict[str, int] = {}
         self._errors_by_op: dict[str, int] = {}
-        #: guards the failure counters, error log and quarantine set: tools
-        #: fail from concurrent serving workers, and unlocked
-        #: read-modify-writes would lose increments (and ``health()`` would
-        #: return torn snapshots)
+        self._fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
+        #: guards the failure and fallback counters, error log and
+        #: quarantine set: tools fail from concurrent serving workers, and
+        #: unlocked read-modify-writes would lose increments (and
+        #: ``snapshot()`` would return torn reports)
         self._health_lock = threading.RLock()
 
     #: how many recent failures ``errors`` retains (counters stay complete)
@@ -164,37 +173,50 @@ class InstrumentationManager:
 
     # -- lifecycle -------------------------------------------------------------
     def activate(self, tools: tuple[Tool, ...]) -> None:
-        previous = list(self.tools)
-        if self._depth == 0:
-            self.tools = self.resolve_tools(tools)
-        else:
-            self.tools = self.tools + [
-                t for t in self.resolve_tools(tools) if t not in self.tools]
-        self._depth += 1
+        """Open an apply scope: ``tools`` join the enclosing scope's toolset.
+
+        The first scope attaches the drivers.  If a tool's ``on_apply``
+        raises, the scope closes again — ``on_remove`` for the tools already
+        applied — before the error propagates.
+        """
+        previous = self.tools
+        self._enclosing.append(previous)
+        self.tools = previous + [t for t in self.resolve_tools(tools)
+                                 if t not in previous]
         self._invalidate()
         if not self._drivers:
             for factory in _driver_factories:
                 driver = factory(self)
                 driver.attach()
                 self._drivers.append(driver)
-        for tool in self.tools:
-            if tool not in previous:
-                tool.on_apply()
+        try:
+            self._apply_joining(previous)
+        except BaseException:
+            self.deactivate()
+            raise
 
     def deactivate(self) -> None:
-        self._depth -= 1
-        if self._depth <= 0:
-            self._depth = 0
-            removed = list(self.tools)
-            self.tools = []
+        """Close the innermost apply scope; a no-op when none is open.
+
+        The enclosing scope's toolset comes back and the tools that leave
+        get ``on_remove``.  Closing the outermost scope detaches the drivers
+        and lifts the quarantine.
+        """
+        if not self._enclosing:
+            return
+        previous = self._enclosing.pop()
+        removed = [t for t in self.tools if t not in previous]
+        self.tools = previous
+        if not self._enclosing:
             for driver in self._drivers:
                 driver.detach()
             self._drivers = []
-            for tool in removed:
-                tool.on_remove()
             # quarantine is scoped to the apply scope that observed the
             # failure; the error log survives for post-mortem (reset_health)
-            self.quarantined.clear()
+            with self._health_lock:
+                self.quarantined.clear()
+        for tool in removed:
+            tool.on_remove()
         self._invalidate()
 
     def replace_tools(self, tools: tuple[Tool, ...]) -> None:
@@ -205,9 +227,10 @@ class InstrumentationManager:
         instrumented graphs by toolset, so a toolset that comes back finds
         its graphs again.  Tools leaving get ``on_remove``, tools entering
         ``on_apply``; the quarantine set, the action cache and the op ids
-        reset as for a fresh scope.
+        reset as for a fresh scope.  If an ``on_apply`` raises, the scope
+        stays open with the tools that were applied.
         """
-        if self._depth == 0:
+        if not self._enclosing:
             raise RuntimeError("replace_tools() needs an open apply scope")
         previous = self.tools
         self.tools = self.resolve_tools(tools)
@@ -217,9 +240,22 @@ class InstrumentationManager:
         for tool in previous:
             if tool not in self.tools:
                 tool.on_remove()
-        for tool in self.tools:
-            if tool not in previous:
-                tool.on_apply()
+        self._apply_joining(previous)
+
+    def _apply_joining(self, previous: list[Tool]) -> None:
+        """``on_apply`` for the tools not in ``previous``.  If one raises,
+        the toolset drops the tools not applied, so none of them later gets
+        an ``on_remove`` it never had the ``on_apply`` for."""
+        applied: list[Tool] = []
+        try:
+            for tool in self.tools:
+                if tool not in previous:
+                    tool.on_apply()
+                    applied.append(tool)
+        except BaseException:
+            self.tools = [t for t in self.tools
+                          if t in previous or t in applied]
+            raise
 
     def _invalidate(self) -> None:
         self.tool_epoch += 1
@@ -304,7 +340,7 @@ class InstrumentationManager:
                             provenance: Provenance | None = None):
         """Evaluate one instrumentation routine with AD/memory isolation.
 
-        A raising routine is recorded in :meth:`health` (and its tool
+        A raising routine is counted in :meth:`snapshot` (and its tool
         quarantined under the ``"quarantine"`` policy), then an
         :class:`InstrumentationError` carrying ``provenance`` propagates —
         always, regardless of policy: recovery (substituting the vanilla
@@ -363,7 +399,7 @@ class InstrumentationManager:
         self.error_policy = check_error_policy(policy)
 
     def record_failure(self, error: InstrumentationError) -> None:
-        """Count a routine failure (full provenance) for :meth:`health`."""
+        """Count a routine failure (full provenance) in :meth:`snapshot`."""
         p = error.provenance
         with self._health_lock:
             self._error_total += 1
@@ -376,6 +412,12 @@ class InstrumentationManager:
             self.errors.append(error)
             if len(self.errors) > self.MAX_RECORDED_ERRORS:
                 del self.errors[0]
+
+    def count_fallback(self, reason: str) -> None:
+        """Count a driver's fallback under one of
+        :data:`~repro.core.faults.FALLBACK_REASONS`."""
+        with self._health_lock:
+            self._fallbacks[reason] += 1
 
     def quarantine(self, tool_name: str) -> None:
         """Disable ``tool_name``'s routines and recorded actions.
@@ -400,42 +442,65 @@ class InstrumentationManager:
                 self.quarantined.clear()
                 self.tool_epoch += 1
 
-    def health(self) -> dict:
-        """Fault-isolation observability (pairs with :meth:`plan_stats`).
-
-        Error counters per tool / op / instrumentation point, the
-        quarantined-tool list, the most recent failures with full
-        provenance, and per-backend recovery counters under ``"backends"``.
-        The report is a consistent, deep-copied snapshot: it is assembled
-        under the same lock the failure counters mutate under, so a reader
-        concurrent with failing tools never sees totals that disagree with
-        the per-key breakdowns — and later mutations never reach into a
-        report a caller already holds.
-        """
-        with self._health_lock:
-            report = {
-                "policy": self.error_policy,
-                "errors": self._error_total,
-                "by_tool": dict(self._errors_by_tool),
-                "by_i_point": dict(self._errors_by_i_point),
-                "by_op": dict(self._errors_by_op),
-                "quarantined": sorted(self.quarantined),
-                "recent": [error.summary() for error in self.errors],
-                "backends": {},
-            }
-            for driver in self._drivers:
-                backend_health = getattr(driver, "health", None)
-                if backend_health is not None:
-                    report["backends"][driver.namespace] = backend_health()
-            return copy.deepcopy(report)
-
     def reset_health(self) -> None:
+        """Zero the failure and fallback counters and drop the error log."""
         with self._health_lock:
             self.errors = []
             self._error_total = 0
             self._errors_by_tool = {}
             self._errors_by_i_point = {}
             self._errors_by_op = {}
+            self._fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
+
+    # -- observability -------------------------------------------------------------
+    def snapshot(self) -> dict:
+        """Every process-level counter, in one deep-copied report.
+
+        Its four keys are present whether or not a scope is open:
+
+        * ``faults``: the error policy, failure counts in total and per
+          tool / instrumentation point / op, the quarantined tools and the
+          most recent failures with full provenance;
+        * ``fallbacks``: one count per
+          :data:`~repro.core.faults.FALLBACK_REASONS` code;
+        * ``plans``: per-op plans ``compiled``, ``recompiled`` (stale plans
+          compiled again) and ``replays`` (cached-path lookups), plus
+          ``by_kind`` over the live action cache;
+        * ``kernels``: kernel ``launches`` and profiler ``subscribers``.
+
+        The report is assembled under the lock the failure counters mutate
+        under, so a reader concurrent with failing tools never sees totals
+        that disagree with the per-key breakdowns; counts survive the apply
+        scope and go back to zero only in :meth:`reset_health`.
+        """
+        with self._health_lock:
+            by_kind = {kind.value: 0 for kind in PlanKind}
+            for record in list(self.action_cache.values()):
+                if record.plan is not None:
+                    by_kind[record.plan.kind.value] += 1
+            report = {
+                "faults": {
+                    "policy": self.error_policy,
+                    "errors": self._error_total,
+                    "by_tool": self._errors_by_tool,
+                    "by_i_point": self._errors_by_i_point,
+                    "by_op": self._errors_by_op,
+                    "quarantined": sorted(self.quarantined),
+                    "recent": [error.summary() for error in self.errors],
+                },
+                "fallbacks": self._fallbacks,
+                "plans": {
+                    "compiled": self._plans_compiled,
+                    "recompiled": self._plans_recompiled,
+                    "replays": self._plan_replays,
+                    "by_kind": by_kind,
+                },
+                "kernels": {
+                    "launches": kernel_runtime.launch_count,
+                    "subscribers": kernel_runtime.subscriber_count,
+                },
+            }
+            return copy.deepcopy(report)
 
     # -- cache -------------------------------------------------------------------
     def clear_action_cache(self) -> None:
@@ -452,7 +517,7 @@ class InstrumentationManager:
     def cache_store(self, op_id: int, record: CachedOpRecord) -> None:
         # compile the plan even when caching is disabled: the record's own
         # execution this call still replays through it
-        self.plan_for(record, op_id=op_id, count_hit=False)
+        self.plan_for(record, op_id=op_id, replay=False)
         if self.cache_enabled:
             self.action_cache[op_id] = record
 
@@ -479,54 +544,30 @@ class InstrumentationManager:
 
     # -- execution plans ----------------------------------------------------------
     def plan_for(self, record: CachedOpRecord, op_id: int | None = None,
-                 count_hit: bool = True) -> ExecutionPlan:
+                 replay: bool = True) -> ExecutionPlan:
         """The record's compiled plan, recompiling when stale.
 
         A plan is stale when it predates the current ``tool_epoch`` or was
-        explicitly invalidated (``cache_append``).
+        explicitly invalidated (``cache_append``).  ``replay`` counts the
+        lookup as a cached-path replay.
         """
         plan = record.plan
         if plan is None or plan.epoch != self.tool_epoch:
-            plan = compile_plan(record, epoch=self.tool_epoch,
-                                op_id=op_id if op_id is not None
-                                else (plan.op_id if plan else None),
-                                prior=plan,
+            if plan is not None:
+                self._plans_recompiled += 1
+                if op_id is None:
+                    op_id = plan.op_id
+            plan = compile_plan(record, epoch=self.tool_epoch, op_id=op_id,
                                 exclude_tools=self.quarantined)
             record.plan = plan
-            if plan.recompiles:
-                self._plans_recompiled += 1
             self._plans_compiled += 1
-        if count_hit:
-            plan.hits += 1
+        if replay:
+            self._plan_replays += 1
         return plan
 
     def plan_stats(self) -> dict:
-        """Observability for the plan layer (pair with the Fig. 12 benchmark).
-
-        Returns per-op plan counters for every cached record, aggregate
-        totals by :class:`PlanKind`, compile/recompile counts, and any
-        backend-specific plan stats (e.g. graph-mode instrumented-graph
-        plans) under ``"backends"``.
-        """
-        ops = {}
-        by_kind = {kind.value: 0 for kind in PlanKind}
-        for op_id, record in self.action_cache.items():
-            if record.plan is None:
-                continue
-            ops[op_id] = record.plan.stats()
-            by_kind[record.plan.kind.value] += 1
-        stats = {
-            "ops": ops,
-            "by_kind": by_kind,
-            "compiled": self._plans_compiled,
-            "recompiled": self._plans_recompiled,
-            "backends": {},
-        }
-        for driver in self._drivers:
-            backend_stats = getattr(driver, "plan_stats", None)
-            if backend_stats is not None:
-                stats["backends"][driver.namespace] = backend_stats()
-        return stats
+        """``snapshot()["plans"]``, kept for callers that read ``compiled``."""
+        return self.snapshot()["plans"]
 
 
 #: process-global manager instance
@@ -608,7 +649,8 @@ def error_policy(policy: str):
     ``"raise"`` (default) propagates a provenance-carrying
     :class:`InstrumentationError` after the drivers have cleanly unwound;
     ``"quarantine"`` disables the failing tool and continues vanilla;
-    ``"record"`` counts the failure in ``manager.health()`` and continues.
+    ``"record"`` counts the failure in ``manager.snapshot()["faults"]``
+    and continues.
     """
     previous = manager.error_policy
     manager.set_error_policy(policy)

@@ -324,8 +324,7 @@ class ExecutionPlan:
     """Everything the cached path needs, compiled once per record."""
 
     __slots__ = ("op_id", "kind", "epoch", "forward", "backward_actions",
-                 "context", "user_state", "hits", "replays", "mutations",
-                 "recompiles", "_backward_slices")
+                 "context", "user_state", "_backward_slices")
 
     def __init__(self, *, op_id: int | None, kind: PlanKind, epoch: int | None,
                  forward: PlanSlice, backward_actions: tuple[Action, ...],
@@ -337,10 +336,6 @@ class ExecutionPlan:
         self.backward_actions = backward_actions
         self.context = context
         self.user_state = user_state
-        self.hits = 0
-        self.replays = 0
-        self.mutations = 0
-        self.recompiles = 0
         self._backward_slices: dict[str | None, PlanSlice] = {}
 
     @property
@@ -364,14 +359,8 @@ class ExecutionPlan:
         """Force a recompile on the next lookup (``cache_append``)."""
         self.epoch = None
 
-    def stats(self) -> dict:
-        return {"kind": self.kind.value, "hits": self.hits,
-                "replays": self.replays, "mutations": self.mutations,
-                "recompiles": self.recompiles}
-
     def __repr__(self) -> str:
-        return (f"ExecutionPlan(op_id={self.op_id}, kind={self.kind.value}, "
-                f"replays={self.replays})")
+        return f"ExecutionPlan(op_id={self.op_id}, kind={self.kind.value})"
 
 
 def _classify(forward: PlanSlice, backward_actions: tuple[Action, ...],
@@ -387,7 +376,6 @@ def compile_actions(forward_actions: Iterable[Action],
                     backward_actions: Iterable[Action] = (),
                     *, epoch: int | None = None, op_id: int | None = None,
                     user_state: bool = False, context=None,
-                    prior: ExecutionPlan | None = None,
                     exclude_tools=()) -> ExecutionPlan:
     """Compile an execution plan from raw action lists.
 
@@ -404,24 +392,17 @@ def compile_actions(forward_actions: Iterable[Action],
         pool = tuple(a for a in pool if a.tool not in exclude_tools)
     forward = compile_forward_slice(pool)
     backward = tuple(a for a in pool if a.type.is_backward)
-    plan = ExecutionPlan(op_id=op_id, epoch=epoch,
+    return ExecutionPlan(op_id=op_id, epoch=epoch,
                          kind=_classify(forward, backward, user_state),
                          forward=forward, backward_actions=backward,
                          user_state=user_state, context=context)
-    if prior is not None:
-        plan.hits = prior.hits
-        plan.replays = prior.replays
-        plan.mutations = prior.mutations
-        plan.recompiles = prior.recompiles + 1
-    return plan
 
 
 def compile_plan(record, *, epoch: int | None, op_id: int | None = None,
-                 prior: ExecutionPlan | None = None,
                  exclude_tools=()) -> ExecutionPlan:
     """Compile a :class:`~repro.core.manager.CachedOpRecord` into a plan."""
     return compile_actions(record.forward_actions, record.backward_actions,
                            epoch=epoch, op_id=op_id,
                            user_state=record.user_state,
-                           context=record.context, prior=prior,
+                           context=record.context,
                            exclude_tools=exclude_tools)

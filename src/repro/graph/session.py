@@ -39,7 +39,6 @@ hold for each incarnation.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
@@ -197,7 +196,6 @@ class Session:
         #: can never leak into another tenant's un-sampled requests.
         self.instrumentation_exempt = False
         self.run_count = 0
-        self.last_run_seconds = 0.0
         #: the plan the most recent run executed — diagnostic access to the
         #: rematerialization schedule (``last_compiled.remat``) under a
         #: memory budget
@@ -290,7 +288,6 @@ class Session:
 
     def _run_impl(self, graph: Graph, fetches: list[GraphTensor],
                   feed: dict[str, np.ndarray]) -> list[np.ndarray]:
-        start = time.perf_counter()
         budget = config.memory_budget
         feed_shapes = ({name: value.shape for name, value in feed.items()}
                        if budget > 0 else None)
@@ -299,10 +296,7 @@ class Session:
         self.last_compiled = compiled
         runtime = _Runtime(feed, graph.variables, compiled.stashers,
                            compiled.stash_drops)
-        try:
-            return self._execute(compiled, fetches, runtime)
-        finally:
-            self.last_run_seconds = time.perf_counter() - start
+        return self._execute(compiled, fetches, runtime)
 
     def _execute(self, compiled: CompiledPlan, fetches: list[GraphTensor],
                  runtime: _Runtime) -> list[np.ndarray]:

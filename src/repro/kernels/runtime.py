@@ -76,12 +76,6 @@ class KernelRuntime:
         self._lock = threading.Lock()
         self._tls = threading.local()
         self.launch_count = 0
-        # opt-in per-kernel aggregation for ``stats()``: off, launch() stays
-        # the near-zero-overhead passthrough; on, each launch is timed and
-        # folded into per-name count/seconds totals
-        self._counters_enabled = False
-        self._kernel_counts: dict[str, int] = {}
-        self._kernel_seconds: dict[str, float] = {}
 
     # -- subscription (cuptiSubscribe / cuptiUnsubscribe analogs) ----------
     def subscribe(self, callback: Callable[[KernelEvent], None]) -> None:
@@ -98,34 +92,10 @@ class KernelRuntime:
         with self._lock:
             return bool(self._subscribers)
 
-    # -- per-kernel counters (stats) ----------------------------------------
-    def enable_counters(self, enabled: bool = True) -> None:
-        """Toggle per-kernel count/seconds aggregation (``stats()``)."""
+    @property
+    def subscriber_count(self) -> int:
         with self._lock:
-            self._counters_enabled = enabled
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self._kernel_counts = {}
-            self._kernel_seconds = {}
-
-    def stats(self) -> dict:
-        """A consistent snapshot of the runtime's counters.
-
-        Always carries ``launch_count`` and the subscriber population;
-        ``per_kernel`` (name -> count/seconds) fills in while
-        :meth:`enable_counters` is on.
-        """
-        with self._lock:
-            return {
-                "launch_count": self.launch_count,
-                "subscribers": len(self._subscribers),
-                "counters_enabled": self._counters_enabled,
-                "per_kernel": {
-                    name: {"count": self._kernel_counts[name],
-                           "seconds": self._kernel_seconds.get(name, 0.0)}
-                    for name in self._kernel_counts},
-            }
+            return len(self._subscribers)
 
     # -- correlation tags (per-thread) --------------------------------------
     def _stack(self) -> list[str]:
@@ -158,20 +128,11 @@ class KernelRuntime:
         with self._lock:
             self.launch_count += 1
             subscribers = tuple(self._subscribers)
-            counting = self._counters_enabled
-        if not subscribers and not counting:
+        if not subscribers:
             return fn(*args, **kwargs)
         start = time.perf_counter()
         result = fn(*args, **kwargs)
         duration = time.perf_counter() - start
-        if counting:
-            with self._lock:
-                self._kernel_counts[name] = \
-                    self._kernel_counts.get(name, 0) + 1
-                self._kernel_seconds[name] = \
-                    self._kernel_seconds.get(name, 0.0) + duration
-        if not subscribers:
-            return result
         event = KernelEvent(
             name=name,
             correlation_tag=self.current_tag(),

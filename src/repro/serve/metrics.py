@@ -4,8 +4,7 @@
 percentile readout — cheap enough to update on every request, bounded so a
 long-lived serving process cannot grow without limit.  Each tenant's
 recorders appear in :meth:`~repro.serve.runtime.ServeRuntime.snapshot`; the
-process-global state lives in ``manager.health()``, ``manager.plan_stats()``
-and the kernel runtime's ``stats()``.
+process-global counters are in ``manager.snapshot()``.
 """
 
 from __future__ import annotations

@@ -223,8 +223,8 @@ class KernelProfilingTool(Tool):
         tag = event.correlation_tag or "(untagged)"
         op = tag.split("|")[0]
         with self._event_lock:
-            per_kernel = self.kernel_times.setdefault(op, {})
-            per_kernel.setdefault(event.name, []).append(event.duration)
+            by_kernel = self.kernel_times.setdefault(op, {})
+            by_kernel.setdefault(event.name, []).append(event.duration)
             self.kernel_bytes[event.name] += event.bytes_accessed
 
     # -- reporting ------------------------------------------------------------

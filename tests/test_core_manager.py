@@ -1,10 +1,14 @@
 """Tool management: dependency resolution, cycles, control APIs, interceptor."""
 
+import numpy as np
 import pytest
 
 import repro.amanda as amanda
+import repro.eager as E
+import repro.eager.functional as F
 from repro.amanda import Interceptor, Tool, manager
-from repro.core.manager import CachedOpRecord
+from repro.core.faults import FALLBACK_REASONS
+from repro.core.manager import CachedOpRecord, InstrumentationManager
 
 
 def make_tool(name: str) -> Tool:
@@ -63,9 +67,87 @@ class TestApplyLifecycle:
         with amanda.apply(a):
             with amanda.apply(b):
                 assert a in manager.tools and b in manager.tools
-            # inner exit keeps the outer scope alive
+            # inner exit keeps the outer scope alive, without the inner tool
             assert manager.active
+            assert manager.tools == [a]
         assert not manager.active
+
+    def test_inner_scope_tools_stop_at_its_exit(self):
+        calls = {"a": 0, "b": 0}
+        removed = []
+
+        class Counting(Tool):
+            def on_remove(self):
+                removed.append(self.name)
+
+        a, b = Counting("a"), Counting("b")
+        for tool in (a, b):
+            tool.add_inst_for_op(
+                lambda context, name=tool.name: calls.__setitem__(
+                    name, calls[name] + 1))
+        with amanda.apply(a):
+            with amanda.apply(b):
+                F.relu(E.tensor(np.ones(1)))
+            assert removed == ["b"]
+            F.relu(E.tensor(np.ones(1)))
+        assert calls == {"a": 2, "b": 1}
+        assert removed == ["b", "a"]
+
+    def test_failed_on_apply_closes_the_scope(self):
+        events = []
+
+        class Recording(Tool):
+            def on_apply(self):
+                events.append(("apply", self.name))
+
+            def on_remove(self):
+                events.append(("remove", self.name))
+
+        class Failing(Tool):
+            def on_apply(self):
+                raise RuntimeError("on_apply failed")
+
+        outer = Recording("outer")
+        ok, bad, late = Recording("ok"), Failing("bad"), Recording("late")
+        with amanda.apply(outer):
+            with pytest.raises(RuntimeError, match="on_apply failed"):
+                with amanda.apply(ok, bad, late):
+                    pytest.fail("the block ran although on_apply raised")
+            # the enclosing scope is back as it was
+            assert manager.tools == [outer]
+        with pytest.raises(RuntimeError, match="on_apply failed"):
+            with amanda.apply(bad):
+                pytest.fail("the block ran although on_apply raised")
+        assert not manager.active and manager.tools == []
+        assert not manager._drivers
+        # only tools whose on_apply ran get on_remove
+        assert events == [("apply", "outer"), ("apply", "ok"),
+                          ("remove", "ok"), ("remove", "outer")]
+        manager.deactivate()  # no scope open: a no-op
+        assert not manager.active
+
+    def test_failed_replace_keeps_only_applied_tools(self):
+        events = []
+
+        class Recording(Tool):
+            def on_apply(self):
+                events.append(("apply", self.name))
+
+            def on_remove(self):
+                events.append(("remove", self.name))
+
+        class Failing(Tool):
+            def on_apply(self):
+                raise RuntimeError("on_apply failed")
+
+        old, ok, late = Recording("old"), Recording("ok"), Recording("late")
+        with amanda.apply(old):
+            with pytest.raises(RuntimeError, match="on_apply failed"):
+                manager.replace_tools((ok, Failing("bad"), late))
+            assert manager.tools == [ok]
+        assert not manager.active
+        assert events == [("apply", "old"), ("remove", "old"),
+                          ("apply", "ok"), ("remove", "ok")]
 
     def test_on_apply_on_remove_called(self):
         events = []
@@ -87,6 +169,24 @@ class TestApplyLifecycle:
             during = manager.tool_epoch
         assert during > before
         assert manager.tool_epoch > during
+
+
+class TestSnapshot:
+    def test_fresh_manager_reports_every_key_at_zero(self):
+        report = InstrumentationManager().snapshot()
+        assert set(report) == {"faults", "fallbacks", "plans", "kernels"}
+        assert report["faults"] == {
+            "policy": "raise", "errors": 0, "by_tool": {}, "by_i_point": {},
+            "by_op": {}, "quarantined": [], "recent": []}
+        assert report["fallbacks"] == dict.fromkeys(FALLBACK_REASONS, 0)
+        assert report["plans"] == {
+            "compiled": 0, "recompiled": 0, "replays": 0,
+            "by_kind": {"vanilla": 0, "observe_only": 0, "mutating": 0}}
+        assert set(report["kernels"]) == {"launches", "subscribers"}
+
+    def test_unknown_fallback_reason_is_rejected(self):
+        with pytest.raises(KeyError):
+            InstrumentationManager().count_fallback("eager.recovered")
 
 
 class TestControlAPIs:

@@ -1,9 +1,9 @@
 """Execution plans: compile-once/replay-forever for cached actions.
 
 Unit coverage for ``repro.core.plans`` plus the manager's plan ownership:
-compilation at cache-store time, epoch/append invalidation, the
-``plan_stats()`` observability API, and the Fig. 11 timer accounting the
-plan layer's spans are built on.
+compilation at cache-store time, epoch/append invalidation, the plan totals
+in ``snapshot()["plans"]``, and the Fig. 11 timer accounting the plan
+layer's spans are built on.
 """
 
 import numpy as np
@@ -221,16 +221,9 @@ class TestManagerPlanOwnership:
         plan = mgr.plan_for(record)
         assert plan is not first
         assert plan.epoch == mgr.tool_epoch
-        assert plan.recompiles == 1
-
-    def test_plan_counters_survive_recompile(self):
-        mgr = InstrumentationManager()
-        record = self._record()
-        mgr.cache_store(7, record)
-        record.plan.replays = 5
-        mgr.tool_epoch += 1
-        plan = mgr.plan_for(record)
-        assert plan.replays == 5
+        assert plan.op_id == 7
+        plans = mgr.snapshot()["plans"]
+        assert (plans["compiled"], plans["recompiled"]) == (2, 1)
 
     def test_cache_append_invalidates_stale_fast_path(self):
         # a record promoted to the vanilla fast path must lose that
@@ -242,7 +235,7 @@ class TestManagerPlanOwnership:
         assert mgr.cache_append(7, _action(ActionType.INSERT_BEFORE_OP))
         plan = mgr.plan_for(record)
         assert plan.kind is PlanKind.OBSERVE_ONLY
-        assert plan.recompiles == 1
+        assert mgr.snapshot()["plans"]["recompiled"] == 1
 
     def test_cache_append_to_missing_record_still_false(self):
         mgr = InstrumentationManager()
@@ -253,11 +246,12 @@ class TestManagerPlanOwnership:
         mgr.cache_store(1, self._record())
         mgr.cache_store(2, self._record(_action(ActionType.INSERT_AFTER_OP)))
         stats = mgr.plan_stats()
-        assert stats["by_kind"]["vanilla"] == 1
-        assert stats["by_kind"]["observe_only"] == 1
-        assert stats["compiled"] == 2
-        assert set(stats["ops"]) == {1, 2}
-        assert stats["ops"][2]["kind"] == "observe_only"
+        assert stats == mgr.snapshot()["plans"]
+        assert stats["by_kind"] == {"vanilla": 1, "observe_only": 1,
+                                    "mutating": 0}
+        # storing compiles a plan; only a cached-path lookup replays one
+        assert (stats["compiled"], stats["recompiled"], stats["replays"]) \
+            == (2, 0, 0)
 
 
 class TestPlanReplayEndToEnd:
@@ -269,12 +263,15 @@ class TestPlanReplayEndToEnd:
             lambda context: context.insert_after_op(lambda a: None and a))
         with amanda.apply(tool) as mgr:
             model(x)  # trace
+            traced = mgr.snapshot()["plans"]
             model(x)  # replay
             model(x)  # replay
-            stats = mgr.plan_stats()
-        assert stats["compiled"] > 0
-        replays = [s["replays"] for s in stats["ops"].values()]
-        assert replays and all(r == 2 for r in replays)
+            replayed = mgr.snapshot()["plans"]
+        ops = traced["by_kind"]["observe_only"]
+        assert ops > 0 and sum(traced["by_kind"].values()) == ops
+        # every op replays its plan on each later call, compiling nothing
+        assert replayed["replays"] - traced["replays"] == 2 * ops
+        assert replayed["compiled"] == traced["compiled"]
 
     def test_mutating_plan_replays_identically(self, rng):
         model = M.LeNet()

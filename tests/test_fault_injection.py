@@ -8,7 +8,8 @@ instrumentation point, in analysis mode (trace path) or instrumentation mode
 * ``"quarantine"`` — the failing tool is disabled and every output stays
   bit-identical to the vanilla run (FaultyTool is observation-only);
 * ``"record"`` — the tool keeps running and keeps failing; outputs stay
-  vanilla and ``manager.health()`` accumulates the provenance;
+  vanilla and ``manager.snapshot()`` counts the failures, with their
+  provenance, and the drivers' fallbacks;
 * ``"raise"`` — a provenance-carrying :class:`InstrumentationError`
   propagates after a clean unwind: spans closed (``framework + tool <=
   wall``), interceptor patches intact, op ids stable across a
@@ -37,6 +38,12 @@ W = RNG.standard_normal((6, 4))
 I_POINTS = ["before_forward_op", "after_forward_op",
             "before_backward_op", "after_backward_op"]
 MODES = ["analysis", "instrumentation"]
+#: what the eager driver substitutes when a routine at each point fails: a
+#: failure before the op re-runs it vanilla, one after it keeps its outputs
+EAGER_FALLBACK = {"before_forward_op": "eager.vanilla_op",
+                  "after_forward_op": "eager.kept_outputs",
+                  "before_backward_op": "eager.vanilla_op",
+                  "after_backward_op": "eager.kept_outputs"}
 
 
 def eager_step():
@@ -65,11 +72,11 @@ class TestEagerFaultMatrix:
         for out, grad in ((out1, grad1), (out2, grad2)):
             np.testing.assert_array_equal(out, VANILLA_OUT)
             np.testing.assert_array_equal(grad, VANILLA_GRAD)
-        health = mgr.health()
-        assert health["errors"] == 1
-        assert health["by_tool"] == {tool.name: 1}
-        assert health["by_i_point"] == {i_point: 1}
-        (recent,) = health["recent"]
+        faults = mgr.snapshot()["faults"]
+        assert faults["errors"] == 1
+        assert faults["by_tool"] == {tool.name: 1}
+        assert faults["by_i_point"] == {i_point: 1}
+        (recent,) = faults["recent"]
         assert recent["tool"] == tool.name
         assert recent["i_point"] == i_point
         assert recent["backend"] == "eager"
@@ -87,12 +94,11 @@ class TestEagerFaultMatrix:
                 np.testing.assert_array_equal(out, VANILLA_OUT)
                 np.testing.assert_array_equal(grad, VANILLA_GRAD)
             assert not mgr.quarantined  # record never disables the tool
-            # backend drivers (and their recovery counters) live only while
-            # the scope is active, so read health before it exits
-            health = mgr.health()
-            assert health["backends"]["eager"]["recovered"] == 3
+        report = mgr.snapshot()
+        assert report["fallbacks"][EAGER_FALLBACK[i_point]] == 3
+        assert sum(report["fallbacks"].values()) == 3
         assert tool.faults == 3
-        assert health["errors"] == 3
+        assert report["faults"]["errors"] == 3
 
     @pytest.mark.parametrize("occurrence", [1, 2], ids=["trace", "replay"])
     def test_fault_recovered_on_trace_and_replay_paths(self, occurrence):
@@ -243,9 +249,9 @@ class TestGraphFaults:
             out2 = sess.run(logits, {x: X})
         np.testing.assert_array_equal(out1, vanilla_out)
         np.testing.assert_array_equal(out2, vanilla_out)
-        health = mgr.health()
-        assert health["by_i_point"] == {"before_forward_op": 1}
-        assert health["recent"][0]["backend"] == "graph"
+        faults = mgr.snapshot()["faults"]
+        assert faults["by_i_point"] == {"before_forward_op": 1}
+        assert faults["recent"][0]["backend"] == "graph"
 
     def test_runtime_callback_fault_falls_back_to_vanilla_graph(
             self, graph_net):
@@ -256,7 +262,7 @@ class TestGraphFaults:
             out1 = sess.run(logits, {x: X})    # PyCall raises mid-run
             assert tool.name in mgr.quarantined
             out2 = sess.run(logits, {x: X})    # recompiled without the tool
-            assert mgr.health()["backends"]["graph"]["vanilla_fallbacks"] == 1
+        assert mgr.snapshot()["fallbacks"]["graph.vanilla_graph"] == 1
         np.testing.assert_array_equal(out1, vanilla_out)
         np.testing.assert_array_equal(out2, vanilla_out)
 
@@ -281,7 +287,7 @@ class TestGraphFaults:
                 np.testing.assert_array_equal(sess.run(logits, {x: X}),
                                               vanilla_out)
             assert not mgr.quarantined
-            assert mgr.health()["backends"]["graph"]["vanilla_fallbacks"] == 3
+        assert mgr.snapshot()["fallbacks"]["graph.vanilla_graph"] == 3
         assert tool.faults == 3
 
     def test_raise_policy_propagates_from_session_run(self, graph_net):
@@ -324,7 +330,7 @@ class TestOnnxFaults:
             out2 = sess.run(None, {"input": X})[0]
         np.testing.assert_array_equal(out1, vanilla)
         np.testing.assert_array_equal(out2, vanilla)
-        assert mgr.health()["recent"][0]["backend"] == "onnx"
+        assert mgr.snapshot()["faults"]["recent"][0]["backend"] == "onnx"
 
     def test_raise_unwinds_and_retried_run_reuses_node_ids(self, onnx_net):
         sess, vanilla = onnx_net
@@ -350,5 +356,41 @@ class TestOnnxFaults:
             for _ in range(2):
                 np.testing.assert_array_equal(
                     sess.run(None, {"input": X})[0], vanilla)
-            assert mgr.health()["backends"]["onnx"]["recovered"] == 2
+        assert mgr.snapshot()["fallbacks"]["onnx.kept_outputs"] == 2
         assert tool.faults == 2
+
+
+# ---------------------------------------------------------------------------
+# fallback counts across backends
+# ---------------------------------------------------------------------------
+
+def test_fallback_counts_outlive_the_scope_until_reset(graph_net, onnx_net):
+    """The drivers detach when the scope closes; the fallbacks they counted
+    stay in the manager's snapshot until ``reset_health()``."""
+    graph_sess, x, logits, _, graph_vanilla, _ = graph_net
+    onnx_sess, onnx_vanilla = onnx_net
+    eager_tool = FaultyTool(i_point="before_forward_op",
+                            mode="instrumentation", op_type="relu",
+                            always=True)
+    node_tool = FaultyTool(i_point="after_forward_op", mode="instrumentation",
+                           op_type="Relu", always=True)
+    with amanda.error_policy("record"):
+        with amanda.apply(eager_tool):
+            out, _ = eager_step()
+        with amanda.apply(node_tool):
+            graph_out = graph_sess.run(logits, {x: X})
+            onnx_out = onnx_sess.run(None, {"input": X})[0]
+    assert not manager.active
+    np.testing.assert_array_equal(out, VANILLA_OUT)
+    np.testing.assert_array_equal(graph_out, graph_vanilla)
+    np.testing.assert_array_equal(onnx_out, onnx_vanilla)
+    report = manager.snapshot()
+    assert report["fallbacks"] == {
+        "eager.vanilla_op": 1, "eager.kept_outputs": 0,
+        "onnx.vanilla_node": 0, "onnx.kept_outputs": 1,
+        "graph.vanilla_graph": 1}
+    assert report["faults"]["errors"] == 3
+    manager.reset_health()
+    report = manager.snapshot()
+    assert set(report["fallbacks"].values()) == {0}
+    assert report["faults"]["errors"] == 0

@@ -3,7 +3,8 @@
 Covers the work-conserving queue's ordering and batch sizes, future
 resolution, deterministic per-tenant sampling, end-to-end submit/result,
 drain-on-stop, the sticky lease's idle close, the runtime snapshot, the
-sessions tenants of one graph share, and a lease that fails to open —
+sessions tenants of one graph share, which threads write the Fig. 11
+timers, and a lease that fails to open —
 plus regression tests for the falsy-empty-graph fallbacks fixed in the same
 change (an empty ``Graph`` has ``len() == 0`` and is falsy, so truthiness
 checks silently redirected ops to the default graph).
@@ -329,6 +330,76 @@ class TestServeRuntime:
         with pytest.raises(ValueError):
             rt.register("mlp", model.graph, model.logits)
         rt.stop()
+
+
+class _OwnedLock:
+    """A re-entrant lock that knows which thread holds it."""
+
+    def __init__(self):
+        self._lock = threading.RLock()
+        self._depth = 0
+        self.owner = None
+
+    def acquire(self):
+        self._lock.acquire()
+        self.owner = threading.get_ident()
+        self._depth += 1
+        return True
+
+    __enter__ = acquire
+
+    def release(self):
+        self._depth -= 1
+        if self._depth == 0:
+            self.owner = None
+        self._lock.release()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class TestFig11Accounting:
+    def test_only_the_lease_holder_writes_the_timers(self, rng):
+        """Fig. 11's framework/tool timers are one process-wide dict, safe
+        only while a single thread writes them.  At four workers, with two
+        sampled tenants swapping the lease and vanilla traffic running
+        beside them, every timer write comes from the thread holding the
+        lease; the vanilla lane never writes."""
+        models = {"a": build_mlp(seed=13), "b": build_mlp(seed=14)}
+        rt = serve.ServeRuntime("fig11", workers=4, batch_size=2)
+        tenants = {name: rt.register(
+            name, model.graph, model.logits,
+            tools=(ActivationPruningTool(keep_ratio=0.5),), sample_rate=2)
+            for name, model in models.items()}
+        lease_lock = rt._lease._lock = _OwnedLock()
+        held = []
+
+        class WriterLog(dict):
+            def __setitem__(self, key, value):
+                held.append(lease_lock.owner == threading.get_ident())
+                super().__setitem__(key, value)
+
+        saved = manager.timers
+        manager.timers = WriterLog(saved)
+        try:
+            with rt:
+                futures = [
+                    rt.submit(tenants[name], {
+                        models[name].inputs: rng.standard_normal((2, 16))})
+                    for _ in range(24) for name in ("a", "b")]
+                for future in futures:
+                    future.result(timeout=30.0)
+        finally:
+            manager.timers = saved
+        snap = rt.snapshot()
+        assert snap["lease"]["swaps"] >= 2
+        for name in tenants:
+            assert snap["tenants"][name]["sampled"] == 12
+            assert snap["tenants"][name]["vanilla"] == 12
+        assert held, "no sampled run wrote the timers"
+        assert held.count(False) == 0, \
+            f"{held.count(False)} of {len(held)} timer writes came from " \
+            "a thread without the lease"
 
 
 class _ApplyFails(ActivationPruningTool):

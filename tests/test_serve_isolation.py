@@ -30,7 +30,6 @@ from repro.amanda import manager
 from repro import serve
 from repro.backends.graph_driver import GraphDriver
 from repro.graph import session as session_module
-from repro.kernels.runtime import runtime as kernel_runtime
 from repro.models.graph.builders import build_mlp
 from repro.tools.faulty import FaultyTool
 from repro.tools.profiling import KernelProfilingTool
@@ -259,7 +258,7 @@ def test_kernel_profiler_sees_only_its_own_requests(workload, monkeypatch):
         return {op: {kernel: len(times) for kernel, times in kernels.items()}
                 for op, kernels in tool.kernel_times.items()}
 
-    baseline = kernel_runtime.stats()["subscribers"]
+    baseline = manager.snapshot()["kernels"]["subscribers"]
     serial = KernelProfilingTool()
     session = model.session()
     with amanda.apply(serial):
@@ -276,4 +275,4 @@ def test_kernel_profiler_sees_only_its_own_requests(workload, monkeypatch):
 
     _assert_outputs(outputs, {"profiled": refs, "prune": prune_refs})
     assert launches(profiler) == launches(serial)
-    assert kernel_runtime.stats()["subscribers"] == baseline
+    assert manager.snapshot()["kernels"]["subscribers"] == baseline

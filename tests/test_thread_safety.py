@@ -115,7 +115,7 @@ class TestHealthHammer:
             phase="analysis")
 
     def test_concurrent_failures_and_readers(self):
-        """8 writers x 200 failures with concurrent health() readers.
+        """8 writers x 200 failures with concurrent snapshot() readers.
 
         The unlocked counters lost increments (read-modify-write on the
         dict) and readers crashed on mid-append list state; locked, the
@@ -128,7 +128,7 @@ class TestHealthHammer:
 
         def reader():
             while not stop.is_set():
-                report = manager.health()
+                report = manager.snapshot()["faults"]
                 assert report["errors"] == sum(report["by_tool"].values())
                 snapshots.append(report)
 
@@ -147,7 +147,7 @@ class TestHealthHammer:
                 r.join()
 
         total = THREADS * self.FAILURES_PER_THREAD
-        report = manager.health()
+        report = manager.snapshot()["faults"]
         assert report["errors"] == total
         assert sum(report["by_tool"].values()) == total
         assert sum(report["by_i_point"].values()) == total
@@ -159,11 +159,13 @@ class TestHealthHammer:
     def test_snapshot_is_isolated_from_later_mutation(self):
         manager.reset_health()
         manager.record_failure(self._failure(0, 0))
-        report = manager.health()
-        before = report["by_tool"].copy()
+        report = manager.snapshot()
+        before = report["faults"]["by_tool"].copy()
         manager.record_failure(self._failure(0, 1))
-        assert report["by_tool"] == before, \
-            "health() returned live references, not a deep-copied snapshot"
+        manager.count_fallback("eager.vanilla_op")
+        assert report["faults"]["by_tool"] == before, \
+            "snapshot() returned live references, not a deep copy"
+        assert report["fallbacks"]["eager.vanilla_op"] == 0
         manager.reset_health()
 
     def test_concurrent_quarantine_is_idempotent(self):
