@@ -99,8 +99,8 @@ def _analyze_example(name: str, build, feeds, strict: bool) -> int:
     with amanda.apply(*tools) as mgr:
         driver = next(d for d in mgr._drivers if d.namespace == "graph")
         driver.verify = False  # we want the report, not an exception
-        instrumented, redirects, _ = driver._instrument_graph(
-            gm.graph, feed_shapes=feeds)
+        rewrite = driver._instrument_graph(gm.graph, feed_shapes=feeds)
+        instrumented, redirects = rewrite.graph, rewrite.redirects
         contexts = list(driver.last_contexts)
         ireport = verify_graph(instrumented, feed_shapes=feeds,
                                redirects=redirects, source_graph=gm.graph)

@@ -6,15 +6,16 @@ Implementation mirrors the paper's PyTorch driver:
   operator registry and patches every operator's ``call_override`` (and
   ``backward_call_override``), including operators registered later;
 * **lazy analysis** — analysis routines run the first time an operator
-  executes (the *trace* path); the recorded actions are compiled into an
+  executes; the recorded actions are compiled into an
   :class:`~repro.core.plans.ExecutionPlan` cached per stable op id, and later
-  executions *replay* the plan: ``VANILLA`` ops take the uninstrumented fast
-  path, ``OBSERVE_ONLY`` ops skip call-record construction entirely, and
-  ``MUTATING`` ops run the full path (the action cache of Fig. 12);
-* **backward tracking** — each forward op's declared backward ops execute
-  through the driver, which supplies the forward context (operator mapping,
-  Fig. 5) and replays the forward plan's backward slice alongside actions
-  recorded by backward analysis routines;
+  executions replay the plan (the action cache of Fig. 12).  ``VANILLA`` ops
+  take the uninstrumented fast path; every other op, analyzed or replayed,
+  runs through one forward path (``_forward``) and its backward ops through
+  one backward path (``_backward``);
+* **backward tracking** — each instrumented forward op links its backward
+  ops to its call record, so the driver supplies them the forward context
+  (operator mapping, Fig. 5) and replays the forward plan's backward slice
+  alongside actions recorded by backward analysis routines;
 * **iteration boundaries** — backward completion and top-level module entry
   reset occurrence counters so op IDs stay consistent across iterations.
 
@@ -161,24 +162,18 @@ class EagerDriver(BackendDriver):
         op_id = mgr.ids.assign(opdef.name)
         try:
             cached = mgr.cache_lookup(op_id)
-            if cached is None:
-                return self._trace_forward(opdef, inputs, attrs, op_id, span)
-
-            plan = mgr.plan_for(cached, op_id=op_id)
-            if plan.kind is PlanKind.VANILLA:
-                # this op instance was analyzed and left alone
-                mgr.end_span(span)
-                return vanilla_apply(opdef, inputs, attrs)
-            if plan.kind is PlanKind.OBSERVE_ONLY:
-                return self._replay_observe(plan, opdef, inputs, attrs, op_id,
-                                            span)
-            return self._replay_mutating(plan, opdef, inputs, attrs, op_id,
-                                         span)
+            plan = None
+            if cached is not None:
+                plan = mgr.plan_for(cached, op_id=op_id)
+                if plan.kind is PlanKind.VANILLA:
+                    # this op instance was analyzed and left alone
+                    mgr.end_span(span)
+                    return vanilla_apply(opdef, inputs, attrs)
+            return self._forward(plan, opdef, inputs, attrs, op_id, span)
         except InstrumentationError:
-            # recovery point: invariants are restored here (span closed by
-            # the finally, busy flag down), then policy decides between
-            # propagating and substituting the vanilla computation
-            self._busy = False
+            # recovery point: the span is closed by the finally, then policy
+            # decides between propagating and substituting the vanilla
+            # computation
             if mgr.error_policy == "raise":
                 if op_id not in mgr.action_cache:
                     # aborted trace: make the occurrence counter look like
@@ -192,137 +187,48 @@ class EagerDriver(BackendDriver):
         finally:
             mgr.end_span(span)
 
-    def _replay_observe(self, plan: ExecutionPlan, opdef: OpDef,
-                        inputs: tuple, attrs: dict, op_id: int, span):
-        """Insert-only replay: no replace, no backward actions, no user state,
-        so no call record or autograd metadata wiring is needed."""
-        mgr = self.manager
-        forward = plan.forward
-        mutated = False
-        exec_inputs = inputs
-        if forward.before:
-            values = list(inputs)
-            mutated = run_steps(forward.before, values, INPUT_ADAPTER,
-                                mgr.run_instrumentation,
-                                provenance=self._prov(op_id, opdef.name,
-                                                      "before_forward_op"))
-            if mutated:
-                exec_inputs = tuple(values)
-        mgr.end_span(span)
-        result = vanilla_apply(opdef, exec_inputs, attrs,
-                               autograd_inputs=inputs if mutated else None)
-        if forward.after:
-            outputs = result if isinstance(result, tuple) else (result,)
-            self._after_forward_steps(forward.after, outputs, op_id,
-                                      opdef.name)
-        return result
-
-    def _after_forward_steps(self, steps, outputs: tuple, op_id: int,
-                             op_type: str) -> None:
-        """Run after-forward insert steps over the produced outputs.
-
-        After-steps run once the op has already produced its result; a
-        failing routine cannot invalidate it, so under the non-raise
-        policies recovery keeps the computed outputs instead of bubbling up
-        and re-executing the op vanilla.
-        """
-        mgr = self.manager
-        span = mgr.begin_span()
-        try:
-            run_steps(steps, list(outputs), OUTPUT_ADAPTER,
-                      mgr.run_instrumentation,
-                      provenance=self._prov(op_id, op_type,
-                                            "after_forward_op"))
-        except InstrumentationError:
-            if mgr.error_policy == "raise":
-                raise
-            mgr.count_fallback("eager.kept_outputs")
-        finally:
-            mgr.end_span(span)
-
-    def _replay_mutating(self, plan: ExecutionPlan, opdef: OpDef,
-                         inputs: tuple, attrs: dict, op_id: int, span):
-        mgr = self.manager
-        forward = plan.forward
-        context = plan.context
-        op_call = OpCall(opdef, inputs, attrs, seq=dispatch.next_seq(),
-                         module=dispatch.current_module())
-        op_call.metadata["op_id"] = op_id
-
-        exec_inputs = inputs
-        if forward.before:
-            values = list(inputs)
-            if run_steps(forward.before, values, INPUT_ADAPTER,
-                         mgr.run_instrumentation,
-                         provenance=self._prov(op_id, opdef.name,
-                                               "before_forward_op")):
-                exec_inputs = tuple(values)
-        forward_override = None
-        if forward.replace is not None:
-            forward_override = forward.replace.guarded_override(
-                mgr.run_instrumentation,
-                self._prov(op_id, opdef.name, "replace_op",
-                           tool=forward.replace.action.tool))
-        mgr.end_span(span)
-
-        result = vanilla_apply(opdef, exec_inputs, attrs,
-                               forward_override=forward_override,
-                               op_call=op_call, autograd_inputs=inputs)
-
-        span = mgr.begin_span()
-        try:
-            outputs = op_call.outputs
-            if context is not None:
-                context["_outputs"] = list(outputs)
-            if op_call.node is not None:
-                op_call.metadata["forward_plan"] = plan
-                op_call.metadata["context"] = context
-                self._pending_calls.append(op_call)
-            if forward.after:
-                run_steps(forward.after, list(outputs), OUTPUT_ADAPTER,
-                          mgr.run_instrumentation,
-                          provenance=self._prov(op_id, opdef.name,
-                                                "after_forward_op"))
-        except InstrumentationError:
-            if mgr.error_policy == "raise":
-                raise
-            mgr.count_fallback("eager.kept_outputs")
-        finally:
-            mgr.end_span(span)
-        return result
-
-    def _trace_forward(self, opdef: OpDef, inputs: tuple, attrs: dict,
-                       op_id: int, span):
-        """First execution of this op instance: run analysis, record actions,
-        compile and cache the plan, then execute through it."""
-        mgr = self.manager
-        op_call = OpCall(opdef, inputs, attrs, seq=dispatch.next_seq(),
-                         module=dispatch.current_module())
-        op_call.metadata["op_id"] = op_id
-        context = self._build_forward_context(op_call, op_id)
+    def _analyze(self, context: OpContext, i_point: IPoint) -> None:
+        """Run analysis routines; ops they execute run uninstrumented."""
         self._busy = True
         try:
-            mgr.run_analysis(context, IPoint.BEFORE_FORWARD)
+            self.manager.run_analysis(context, i_point)
         finally:
             self._busy = False
 
-        # transient slice: AFTER_FORWARD analysis may still add actions, so
-        # the durable plan is compiled only after the op executed
-        pre = compile_forward_slice(context.actions)
+    def _forward(self, plan: ExecutionPlan | None, opdef: OpDef,
+                 inputs: tuple, attrs: dict, op_id: int, span):
+        """Run one instrumented forward op: before steps on its inputs, the
+        (possibly replaced) op, then after steps on its outputs.
+
+        A ``plan`` of ``None`` is the op's first execution under the current
+        toolset.  Analysis then runs around the op, and the plan is cached
+        only once the op has executed, because ``AFTER_FORWARD`` routines
+        read its outputs and may still record actions.
+        """
+        mgr = self.manager
+        op_call = OpCall(opdef, inputs, attrs, seq=dispatch.next_seq(),
+                         module=dispatch.current_module())
+        op_call.metadata["op_id"] = op_id
+        if plan is None:
+            context = self._build_forward_context(op_call, op_id)
+            self._analyze(context, IPoint.BEFORE_FORWARD)
+            steps = compile_forward_slice(context.actions)
+        else:
+            steps = plan.forward
         exec_inputs = inputs
-        if pre.before:
+        if steps.before:
             values = list(inputs)
-            if run_steps(pre.before, values, INPUT_ADAPTER,
+            if run_steps(steps.before, values, INPUT_ADAPTER,
                          mgr.run_instrumentation,
                          provenance=self._prov(op_id, opdef.name,
                                                "before_forward_op")):
                 exec_inputs = tuple(values)
         forward_override = None
-        if pre.replace is not None:
-            forward_override = pre.replace.guarded_override(
+        if steps.replace is not None:
+            forward_override = steps.replace.guarded_override(
                 mgr.run_instrumentation,
                 self._prov(op_id, opdef.name, "replace_op",
-                           tool=pre.replace.action.tool))
+                           tool=steps.replace.action.tool))
         mgr.end_span(span)
 
         result = vanilla_apply(opdef, exec_inputs, attrs,
@@ -332,26 +238,21 @@ class EagerDriver(BackendDriver):
         span = mgr.begin_span()
         try:
             outputs = op_call.outputs
-            context["_outputs"] = list(outputs)
-            self._busy = True
-            try:
-                mgr.run_analysis(context, IPoint.AFTER_FORWARD)
-            finally:
-                self._busy = False
-
-            record = CachedOpRecord()
-            record.forward_actions = [a for a in context.actions
-                                      if not a.type.is_backward]
-            record.backward_actions = [a for a in context.actions
-                                       if a.type.is_backward]
-            record.context = context
-            record.user_state = context.has_user_state
-            mgr.cache_store(op_id, record)
-            plan = record.plan
-
+            if plan is None:
+                context["_outputs"] = list(outputs)
+                self._analyze(context, IPoint.AFTER_FORWARD)
+                record = CachedOpRecord()
+                record.forward_actions = [a for a in context.actions
+                                          if not a.type.is_backward]
+                record.backward_actions = [a for a in context.actions
+                                           if a.type.is_backward]
+                record.context = context
+                record.user_state = context.has_user_state
+                mgr.cache_store(op_id, record)
+                plan = record.plan
             if op_call.node is not None:
                 op_call.metadata["forward_plan"] = plan
-                op_call.metadata["context"] = context
+                op_call.metadata["context"] = plan.context
                 self._pending_calls.append(op_call)
             if plan.forward.after:
                 run_steps(plan.forward.after, list(outputs), OUTPUT_ADAPTER,
@@ -359,9 +260,9 @@ class EagerDriver(BackendDriver):
                           provenance=self._prov(op_id, opdef.name,
                                                 "after_forward_op"))
         except InstrumentationError:
-            # the op already executed: under the non-raise policies keep the
-            # result (no double execution); under "raise" the recovery point
-            # in _instrumented_call unwinds and propagates
+            # the op already executed: under the non-raise policies keep its
+            # outputs (no double execution); under "raise" the recovery
+            # point in _instrumented_call unwinds and propagates
             if mgr.error_policy == "raise":
                 raise
             mgr.count_fallback("eager.kept_outputs")
@@ -425,23 +326,18 @@ class EagerDriver(BackendDriver):
             inherited = (forward_plan.backward_slice(bdef.name)
                          if forward_plan is not None else EMPTY_SLICE)
 
-            if cached is None:
-                return self._trace_backward(node, bdef, grad_outputs, bwd_id,
-                                            inherited, op_call, span)
-
-            plan = mgr.plan_for(cached, op_id=bwd_id)
-            if plan.kind is PlanKind.VANILLA and inherited.empty:
-                mgr.end_span(span)
-                return bdef.fn(node.ctx, grad_outputs)
-            combined = PlanSlice.concat(inherited,
-                                        plan.backward_slice(bdef.name))
-            return self._run_backward(node, bdef, grad_outputs, combined,
-                                      bwd_id, span)
+            plan = None
+            if cached is not None:
+                plan = mgr.plan_for(cached, op_id=bwd_id)
+                if plan.kind is PlanKind.VANILLA and inherited.empty:
+                    mgr.end_span(span)
+                    return bdef.fn(node.ctx, grad_outputs)
+            return self._backward(plan, inherited, node, bdef, grad_outputs,
+                                  bwd_id, span)
         except InstrumentationError:
-            # recovery point, mirroring _instrumented_call: restore the
-            # invariants, then propagate or fall back to the vanilla
-            # backward computation with the original gradients
-            self._busy = False
+            # recovery point, mirroring _instrumented_call: propagate or fall
+            # back to the vanilla backward computation with the original
+            # gradients
             if mgr.error_policy == "raise":
                 if bwd_id not in mgr.action_cache:
                     mgr.backward_ids.retract(bdef.name)
@@ -452,15 +348,29 @@ class EagerDriver(BackendDriver):
         finally:
             mgr.end_span(span)
 
-    def _run_backward(self, node, bdef, grad_outputs, plan_slice: PlanSlice,
-                      bwd_id: int, span):
-        """Replay a backward slice: before steps on incoming gradients, the
-        (possibly replaced) backward computation, after steps on produced
-        gradients."""
+    def _backward(self, plan: ExecutionPlan | None, inherited: PlanSlice,
+                  node, bdef, grad_outputs, bwd_id: int, span):
+        """Run one backward op: before steps on its incoming gradients, the
+        (possibly replaced) backward computation, then after steps on the
+        gradients it produced.
+
+        ``inherited`` is the forward plan's slice for this backward op; the
+        op's own actions run after it.  A ``plan`` of ``None`` is the op's
+        first execution under the current toolset: backward analysis runs
+        around it and its record is cached once the gradients exist.
+        """
         mgr = self.manager
-        if plan_slice.before:
+        if plan is None:
+            context = self._build_backward_context(node, bdef, bwd_id,
+                                                   grad_outputs)
+            self._analyze(context, IPoint.BEFORE_BACKWARD)
+            own = compile_backward_slice(context.actions, bdef.name)
+        else:
+            own = plan.backward_slice(bdef.name)
+        steps = PlanSlice.concat(inherited, own)
+        if steps.before:
             values = list(grad_outputs)
-            run_steps(plan_slice.before, values, NDARRAY_ADAPTER,
+            run_steps(steps.before, values, NDARRAY_ADAPTER,
                       mgr.run_instrumentation, clamp=True,
                       provenance=self._prov(bwd_id, bdef.name,
                                             "before_backward_op"))
@@ -468,11 +378,37 @@ class EagerDriver(BackendDriver):
         mgr.end_span(span)
 
         grads = self._backward_compute(node, bdef, grad_outputs,
-                                       plan_slice.replace, bwd_id)
+                                       steps.replace, bwd_id)
 
-        if plan_slice.after:
-            grads = self._guarded_after_grads(plan_slice.after, grads,
-                                              bwd_id, bdef.name)
+        span = mgr.begin_span()
+        try:
+            if plan is None:
+                context["_grad_inputs"] = [grads[k] for k in sorted(grads)]
+                self._analyze(context, IPoint.AFTER_BACKWARD)
+                record = CachedOpRecord()
+                record.forward_actions = [
+                    a for a in context.actions
+                    if a.backward_op is None or a.backward_op == bdef.name]
+                record.context = context
+                mgr.cache_store(bwd_id, record)
+                steps = PlanSlice.concat(
+                    inherited, record.plan.backward_slice(bdef.name))
+            if steps.after:
+                keys = sorted(grads)
+                values = [grads[k] for k in keys]
+                run_steps(steps.after, values, NDARRAY_ADAPTER,
+                          mgr.run_instrumentation, clamp=True,
+                          provenance=self._prov(bwd_id, bdef.name,
+                                                "after_backward_op"))
+                grads = dict(zip(keys, values))
+        except InstrumentationError:
+            # the backward computation already produced grads: keep them
+            # under the non-raise policies instead of recomputing vanilla
+            if mgr.error_policy == "raise":
+                raise
+            mgr.count_fallback("eager.kept_outputs")
+        finally:
+            mgr.end_span(span)
         return grads
 
     def _backward_compute(self, node, bdef, grad_outputs, replace, bwd_id):
@@ -497,96 +433,11 @@ class EagerDriver(BackendDriver):
             raise error
         return grads
 
-    def _guarded_after_grads(self, steps, grads: dict, bwd_id: int,
-                             op_type: str) -> dict:
-        """After-backward steps; recovery keeps the computed gradients."""
-        mgr = self.manager
-        span = mgr.begin_span()
-        try:
-            return self._apply_after_grads(steps, grads, bwd_id, op_type)
-        except InstrumentationError:
-            if mgr.error_policy == "raise":
-                raise
-            mgr.count_fallback("eager.kept_outputs")
-            return grads
-        finally:
-            mgr.end_span(span)
-
-    def _apply_after_grads(self, steps, grads: dict, bwd_id: int | None = None,
-                           op_type: str | None = None) -> dict:
-        ordered_keys = sorted(grads)
-        grad_list = [grads[k] for k in ordered_keys]
-        run_steps(steps, grad_list, NDARRAY_ADAPTER,
-                  self.manager.run_instrumentation, clamp=True,
-                  provenance=self._prov(bwd_id, op_type or "?",
-                                        "after_backward_op"))
-        return dict(zip(ordered_keys, grad_list))
-
-    def _trace_backward(self, node, bdef, grad_outputs, bwd_id,
-                        inherited: PlanSlice, op_call, span):
-        mgr = self.manager
-        context = self._build_backward_context(node, bdef, bwd_id,
-                                               grad_outputs, op_call)
-        self._busy = True
-        try:
-            mgr.run_analysis(context, IPoint.BEFORE_BACKWARD)
-        finally:
-            self._busy = False
-        own = compile_backward_slice(
-            (a for a in context.actions
-             if a.backward_op is None or a.backward_op == bdef.name),
-            bdef.name)
-        combined = PlanSlice.concat(inherited, own)
-
-        if combined.before:
-            values = list(grad_outputs)
-            run_steps(combined.before, values, NDARRAY_ADAPTER,
-                      mgr.run_instrumentation, clamp=True,
-                      provenance=self._prov(bwd_id, bdef.name,
-                                            "before_backward_op"))
-            grad_outputs = tuple(values)
-        mgr.end_span(span)
-
-        grads = self._backward_compute(node, bdef, grad_outputs,
-                                       combined.replace, bwd_id)
-
-        span = mgr.begin_span()
-        try:
-            ordered_keys = sorted(grads)
-            context["_grad_inputs"] = [grads[k] for k in ordered_keys]
-            self._busy = True
-            try:
-                mgr.run_analysis(context, IPoint.AFTER_BACKWARD)
-            finally:
-                self._busy = False
-
-            record = CachedOpRecord()
-            record.forward_actions = [
-                a for a in context.actions
-                if a.backward_op is None or a.backward_op == bdef.name]
-            record.context = context
-            mgr.cache_store(bwd_id, record)
-
-            # replay the full after list (inherited + everything just recorded)
-            full = PlanSlice.concat(inherited,
-                                    record.plan.backward_slice(bdef.name))
-            if full.after:
-                grads = self._apply_after_grads(full.after, grads, bwd_id,
-                                                bdef.name)
-        except InstrumentationError:
-            # the backward computation already produced grads: keep them
-            # under the non-raise policies instead of recomputing vanilla
-            if mgr.error_policy == "raise":
-                raise
-            mgr.count_fallback("eager.kept_outputs")
-        finally:
-            mgr.end_span(span)
-        return grads
-
-    def _build_backward_context(self, node, bdef, bwd_id, grad_outputs,
-                                op_call) -> OpContext:
+    def _build_backward_context(self, node, bdef, bwd_id,
+                                grad_outputs) -> OpContext:
         self._charge_context()
         context = OpContext()
+        op_call = node.op_call
         forward_context = None
         if op_call is not None:
             forward_context = op_call.metadata.get("context")

@@ -14,11 +14,9 @@ an :class:`ExecutionPlan`:
   step; ``None`` ("all tensors") resolves through a memoized range table;
 * **a pre-bound replace closure** — ``kwargs`` are bound when the plan is
   compiled, not per call;
-* **a tri-state classification** (:class:`PlanKind`) so drivers can pick the
-  cheapest sound path: ``VANILLA`` (no instrumentation at all),
-  ``OBSERVE_ONLY`` (forward insert routines only — no replace, no backward
-  actions, no user context state, so no autograd metadata wiring is needed)
-  and ``MUTATING`` (everything else).
+* **a classification** (:class:`PlanKind`) so drivers can skip an op the
+  toolset leaves alone: ``VANILLA`` (no actions and no user context state)
+  or ``INSTRUMENTED`` (everything else).
 
 The manager owns plan compilation and invalidation (``tool_epoch`` bumps and
 ``cache_append`` both force a recompile); drivers own only a per-backend
@@ -49,12 +47,8 @@ class PlanKind(enum.Enum):
 
     #: no actions and no user context state: skip instrumentation entirely
     VANILLA = "vanilla"
-    #: forward insert routines only — evaluated without autograd/backward
-    #: metadata wiring (routines may still return replacements; write-back
-    #: stays sound, the classification only drops the wiring)
-    OBSERVE_ONLY = "observe_only"
-    #: replaces, backward actions or user state: full evaluation path
-    MUTATING = "mutating"
+    #: any action or user context state: the driver's instrumented path
+    INSTRUMENTED = "instrumented"
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +361,7 @@ def _classify(forward: PlanSlice, backward_actions: tuple[Action, ...],
               user_state: bool) -> PlanKind:
     if forward.empty and not backward_actions and not user_state:
         return PlanKind.VANILLA
-    if (forward.replace is None and not backward_actions and not user_state):
-        return PlanKind.OBSERVE_ONLY
-    return PlanKind.MUTATING
+    return PlanKind.INSTRUMENTED
 
 
 def compile_actions(forward_actions: Iterable[Action],

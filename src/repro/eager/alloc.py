@@ -23,13 +23,16 @@ class AllocationTracker:
     sessions that all account through this process-global instance, so the
     counter read-modify-writes are lock-guarded and the *scope stack* is
     per-thread (a tool scope pushed by one worker must not re-attribute a
-    concurrent worker's allocations).
+    concurrent worker's allocations).  The lock is re-entrant: a garbage
+    collection can start inside any locked section that allocates (``reset``
+    and ``snapshot`` build dicts) and run a tensor's finalizer, which calls
+    :meth:`release` on the thread that already holds the lock.
     """
 
     SCOPES = ("dnn", "amanda", "tool")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._tls = threading.local()
         self.reset()
 

@@ -212,3 +212,16 @@ class TestDriverIntegration:
         relu = next(op for op in clone.operations if op.type == "Relu")
         with pytest.raises(ValueError, match="out of range"):
             rewriter.insert_before_inputs(relu, (7,), lambda a: a)
+
+
+class TestAnalysisCLI:
+    def test_strict_zoo_pass(self, capsys):
+        """``python -m repro.analysis --strict``, in process: every zoo
+        model verifies and lints clean, instrumented and not, and the
+        backend drivers pass the span-safety lint."""
+        from repro.analysis.__main__ import main
+        with np.errstate():  # the CLI silences numpy warnings process-wide
+            status = main(["--strict"])
+        lines = capsys.readouterr().out.splitlines()
+        assert status == 0, "\n".join(lines)
+        assert lines[-1] == "PASS"

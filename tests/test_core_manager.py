@@ -181,7 +181,7 @@ class TestSnapshot:
         assert report["fallbacks"] == dict.fromkeys(FALLBACK_REASONS, 0)
         assert report["plans"] == {
             "compiled": 0, "recompiled": 0, "replays": 0,
-            "by_kind": {"vanilla": 0, "observe_only": 0, "mutating": 0}}
+            "by_kind": {"vanilla": 0, "instrumented": 0}}
         assert set(report["kernels"]) == {"launches", "subscribers"}
 
     def test_unknown_fallback_reason_is_rejected(self):

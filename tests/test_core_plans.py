@@ -158,20 +158,20 @@ class TestClassification:
 
     def test_observe_only(self):
         plan = compile_actions([_action(ActionType.INSERT_AFTER_OP)], epoch=0)
-        assert plan.kind is PlanKind.OBSERVE_ONLY
+        assert plan.kind is PlanKind.INSTRUMENTED
 
     def test_replace_is_mutating(self):
         plan = compile_actions([_action(ActionType.REPLACE_OP)], epoch=0)
-        assert plan.kind is PlanKind.MUTATING
+        assert plan.kind is PlanKind.INSTRUMENTED
 
     def test_backward_actions_are_mutating(self):
         plan = compile_actions(
             [_action(ActionType.INSERT_AFTER_BACKWARD_OP)], epoch=0)
-        assert plan.kind is PlanKind.MUTATING
+        assert plan.kind is PlanKind.INSTRUMENTED
 
     def test_user_state_is_mutating(self):
         plan = compile_actions([], epoch=0, user_state=True)
-        assert plan.kind is PlanKind.MUTATING
+        assert plan.kind is PlanKind.INSTRUMENTED
 
     def test_backward_actions_recorded_on_forward_list(self):
         # backward records historically store their actions in
@@ -201,7 +201,7 @@ class TestManagerPlanOwnership:
         record = self._record(_action(ActionType.INSERT_AFTER_OP))
         mgr.cache_store(7, record)
         assert record.plan is not None
-        assert record.plan.kind is PlanKind.OBSERVE_ONLY
+        assert record.plan.kind is PlanKind.INSTRUMENTED
         assert record.plan.epoch == mgr.tool_epoch
 
     def test_cache_store_compiles_even_when_cache_disabled(self):
@@ -234,7 +234,7 @@ class TestManagerPlanOwnership:
         assert record.plan.kind is PlanKind.VANILLA
         assert mgr.cache_append(7, _action(ActionType.INSERT_BEFORE_OP))
         plan = mgr.plan_for(record)
-        assert plan.kind is PlanKind.OBSERVE_ONLY
+        assert plan.kind is PlanKind.INSTRUMENTED
         assert mgr.snapshot()["plans"]["recompiled"] == 1
 
     def test_cache_append_to_missing_record_still_false(self):
@@ -247,8 +247,7 @@ class TestManagerPlanOwnership:
         mgr.cache_store(2, self._record(_action(ActionType.INSERT_AFTER_OP)))
         stats = mgr.plan_stats()
         assert stats == mgr.snapshot()["plans"]
-        assert stats["by_kind"] == {"vanilla": 1, "observe_only": 1,
-                                    "mutating": 0}
+        assert stats["by_kind"] == {"vanilla": 1, "instrumented": 1}
         # storing compiles a plan; only a cached-path lookup replays one
         assert (stats["compiled"], stats["recompiled"], stats["replays"]) \
             == (2, 0, 0)
@@ -267,7 +266,7 @@ class TestPlanReplayEndToEnd:
             model(x)  # replay
             model(x)  # replay
             replayed = mgr.snapshot()["plans"]
-        ops = traced["by_kind"]["observe_only"]
+        ops = traced["by_kind"]["instrumented"]
         assert ops > 0 and sum(traced["by_kind"].values()) == ops
         # every op replays its plan on each later call, compiling nothing
         assert replayed["replays"] - traced["replays"] == 2 * ops

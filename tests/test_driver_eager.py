@@ -1,11 +1,15 @@
 """Eager driver: the six instrumentation actions, caching, AD isolation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import repro.amanda as amanda
 import repro.eager as E
 from repro.amanda import Tool, manager
+from repro.core.plans import PlanKind
 from repro.eager import F, alloc
 
 
@@ -316,6 +320,56 @@ class TestCaching:
         assert alloc.tracker.live["amanda"] == live
         # releasing leaves the allocation total (Fig. 13's input) alone
         assert alloc.tracker.total_allocated["amanda"] == total + 2 * charged
+
+
+class TestReplayedOps:
+    """A replayed op runs the same path as its first execution: it links
+    its backward ops and leaves nothing of its own behind in the cache."""
+
+    def test_backward_ops_first_analyzed_after_replay_see_forward_op(
+            self, rng):
+        tool = Tool("t")
+        seen = []
+        tool.add_inst_for_op(
+            lambda ctx: ctx.insert_after_op(lambda *outputs: None))
+        tool.add_inst_for_op(
+            lambda ctx: seen.append((ctx["backward_type"], ctx.get_op_id(),
+                                     ctx.get_op())),
+            backward=True)
+        model = E.Sequential(E.Linear(3, 2, rng=rng), E.ReLU())
+        x = E.tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        with amanda.apply(tool):
+            model(x)                      # forward only: traces the ops
+            model(x).sum().backward()     # replays them; backward traced
+        names = {name for name, _, _ in seen}
+        assert {"relu_backward", "linear_backward_input",
+                "linear_backward_weight", "linear_backward_bias"} <= names
+        for name, op_id, op in seen:
+            assert op_id is not None, name
+            assert op is not None and op.metadata["op_id"] == op_id, name
+
+    def test_replayed_outputs_are_not_kept_alive(self, rng):
+        tool = Tool("t")
+        op_ids = []
+
+        def analysis(context):
+            op_ids.append(context.get_op_id())
+            context["mask"] = 1.0  # user state
+            context.insert_before_op(lambda *inputs: None)
+
+        tool.add_inst_for_op(analysis)
+        lin = E.Linear(3, 2, rng=rng)
+        x = E.tensor(rng.standard_normal((4, 3)))
+        with amanda.apply(tool) as mgr:
+            lin(x).sum().backward()       # trace
+            out = lin(x)                  # replay
+            out.sum().backward()
+            assert all(mgr.action_cache[op_id].plan.kind
+                       is not PlanKind.VANILLA for op_id in op_ids)
+            dead = weakref.ref(out)
+            del out
+            gc.collect()
+            assert dead() is None
 
 
 class TestIterationBoundaries:

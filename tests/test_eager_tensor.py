@@ -1,5 +1,9 @@
 """Tensor basics: construction, arithmetic dispatch, hooks, allocation."""
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -119,3 +123,34 @@ class TestAllocation:
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError):
             alloc.tracker.push_scope("gpu7")
+
+    def test_collection_inside_a_locked_section_does_not_deadlock(self):
+        """A collection can start inside a locked section that allocates
+        (``reset`` builds dicts) and run a finalizer that releases bytes on
+        the thread holding the lock, as a collected tensor's does."""
+        tracker = alloc.AllocationTracker()
+
+        class Cycle:
+            pass
+
+        def reset_with_garbage_pending():
+            threshold = gc.get_threshold()
+            try:
+                for due_in in range(1, 16):
+                    cycle = Cycle()
+                    cycle.self = cycle
+                    weakref.finalize(cycle, tracker.release, 8, "dnn")
+                    del cycle
+                    # the next collection starts `due_in` allocations from
+                    # here, so one of these resets runs it under the lock
+                    gc.set_threshold(gc.get_count()[0] + due_in)
+                    tracker.reset()
+            finally:
+                gc.set_threshold(*threshold)
+
+        # on a thread, so a deadlock fails the test instead of hanging it
+        worker = threading.Thread(target=reset_with_garbage_pending,
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "a finalizer deadlocked in reset()"

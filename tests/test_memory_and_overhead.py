@@ -1,5 +1,6 @@
 """Memory attribution (Fig. 13 machinery) and overhead sanity (Fig. 10)."""
 
+import statistics
 import time
 
 import numpy as np
@@ -66,23 +67,40 @@ class TestMemoryAttribution:
 
 
 class TestOverhead:
-    def _time(self, fn, repeats=5):
-        fn()  # warm up (analysis + cache fill)
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - start)
-        samples.sort()
-        return samples[len(samples) // 2]  # median resists load spikes
+    @staticmethod
+    def _elapsed(fn) -> float:
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    @staticmethod
+    def _medians(*sides, rounds=9):
+        """Each side's median time over ``rounds``.
+
+        A side is a callable that returns the time of one timed call.  The
+        sides take turns round by round, so a host stall lands on one
+        round's samples rather than on all of one side's.
+        """
+        samples = [[] for _ in sides]
+        for _ in range(rounds):
+            for side, times in zip(sides, samples):
+                times.append(side())
+        return [statistics.median(times) for times in samples]
+
+    def _vanilla_and_instrumented(self, model, x, tool):
+        def instrumented():
+            with amanda.apply(tool):
+                model(x)  # untimed: each scope starts with an empty cache
+                return self._elapsed(lambda: model(x))
+
+        return self._medians(lambda: self._elapsed(lambda: model(x)),
+                             instrumented)
 
     def test_eager_tracing_overhead_moderate(self, rng):
         model = M.resnet18()
         x = E.tensor(rng.standard_normal((2, 3, 16, 16)))
-        vanilla = self._time(lambda: model(x))
-        tracer = GraphTracingTool()
-        with amanda.apply(tracer):
-            instrumented = self._time(lambda: model(x))
+        vanilla, instrumented = self._vanilla_and_instrumented(
+            model, x, GraphTracingTool())
         # the paper reports <1% on GPUs; our numpy ops are far cheaper than
         # CUDA kernels so allow a loose bound — the point is same order
         assert instrumented < vanilla * 2.0
@@ -90,11 +108,9 @@ class TestOverhead:
     def test_empty_toolset_near_zero_overhead(self, rng):
         model = M.LeNet()
         x = E.tensor(rng.standard_normal((2, 3, 16, 16)))
-        vanilla = self._time(lambda: model(x), repeats=5)
         noop = Tool("noop")
         noop.add_inst_for_op(lambda ctx: None)
-        with amanda.apply(noop):
-            instrumented = self._time(lambda: model(x), repeats=5)
+        vanilla, instrumented = self._vanilla_and_instrumented(model, x, noop)
         assert instrumented < vanilla * 2.0
 
     def test_cache_reduces_repeated_cost(self, rng):
@@ -103,14 +119,18 @@ class TestOverhead:
         x = E.tensor(rng.standard_normal((1, 3, 16, 16)))
         from repro.amanda.tools import MagnitudePruningTool
 
-        tool = MagnitudePruningTool(sparsity=0.5)
-        with amanda.apply(tool):
-            cached = self._time(lambda: model(x), repeats=3)
-        tool2 = MagnitudePruningTool(sparsity=0.5)
-        with amanda.apply(tool2), amanda.cache_disabled():
-            uncached = self._time(lambda: model(x), repeats=3)
+        def cached():
+            model(x)  # untimed: refill the cache cache_disabled() cleared
+            return self._elapsed(lambda: model(x))
+
+        def uncached():
+            with amanda.cache_disabled():
+                return self._elapsed(lambda: model(x))
+
+        with amanda.apply(MagnitudePruningTool(sparsity=0.5)):
+            cached_s, uncached_s = self._medians(cached, uncached)
         # medians + a small tolerance keep this robust under machine load
-        assert uncached > cached * 0.9
+        assert uncached_s > cached_s * 0.9
 
     def test_timer_breakdown_accumulates(self, rng):
         amanda.manager.reset_timers()
