@@ -13,7 +13,14 @@ figures; called out in DESIGN.md).
    analyzed context; its cost is analysis-time-only (amortized by the cache),
    so steady-state overhead with and without the mapping dependency must be
    comparable.
+
+Every comparison takes its sides in turn over :data:`ROUNDS` rounds and
+compares the sides' medians, so a host stall lands on one round's samples
+rather than on all of one side's.
 """
+
+import statistics
+import time
 
 import numpy as np
 
@@ -24,7 +31,32 @@ from repro.amanda import Tool
 from repro.amanda.tools import standard_mapping_tool
 from repro.kernels import nn as K
 
-from _common import report, wall_time
+from _common import report
+
+#: rounds per comparison; each round times every side once
+ROUNDS = 15
+
+
+def _elapsed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _medians(sides: dict) -> dict:
+    """Each side's median time over :data:`ROUNDS` rounds.
+
+    ``sides`` maps a label to a callable that returns the time of one timed
+    call.  The sides take turns round by round, and the side that goes
+    first alternates, so neither side always runs right after the other.
+    """
+    samples = {label: [] for label in sides}
+    order = list(sides)
+    for _ in range(ROUNDS):
+        for label in order:
+            samples[label].append(sides[label]())
+        order.reverse()
+    return {label: statistics.median(times) for label, times in samples.items()}
 
 
 def conv_algorithm_ablation():
@@ -42,11 +74,12 @@ def conv_algorithm_ablation():
         x = rng.standard_normal(x_shape)
         w = rng.standard_normal(w_shape)
         chosen = K.select_conv_algorithm(x_shape, w_shape, stride, pad)
-        times = {}
-        for algorithm in algorithms:
-            times[algorithm] = wall_time(
-                lambda a=algorithm: K.conv2d_forward(x, w, stride, pad, a),
-                repeats=5, warmup=2)
+        calls = {a: lambda a=a: K.conv2d_forward(x, w, stride, pad, a)
+                 for a in algorithms}
+        for call in calls.values():  # warm-up
+            call()
+        times = _medians({a: lambda call=call: _elapsed(call)
+                          for a, call in calls.items()})
         rows.append((label, chosen, times))
     return rows
 
@@ -66,11 +99,20 @@ def fast_path_ablation():
     saturating.add_inst_for_op(
         lambda ctx: ctx.insert_before_op(lambda *a: None, inputs=[]))
 
-    with amanda.apply(selective):
-        with_fast_path = wall_time(lambda: model(x), repeats=5, warmup=2)
-    with amanda.apply(saturating):
-        without_fast_path = wall_time(lambda: model(x), repeats=5, warmup=2)
-    return with_fast_path, without_fast_path
+    times = _medians({"with": lambda: _steady(model, x, selective),
+                      "without": lambda: _steady(model, x, saturating)})
+    return times["with"], times["without"]
+
+
+def _steady(model, x, tool, forwards: int = 3) -> float:
+    """The mean time of ``forwards`` forwards under ``tool``, after an
+    untimed forward that fills the new scope's action cache."""
+    with amanda.apply(tool):
+        model(x)
+        start = time.perf_counter()
+        for _ in range(forwards):
+            model(x)
+        return (time.perf_counter() - start) / forwards
 
 
 def mapping_cost_ablation():
@@ -87,11 +129,10 @@ def mapping_cost_ablation():
             if ctx.get("type") == "conv2d" else None)
         return tool
 
-    with amanda.apply(observing_tool(False)):
-        raw = wall_time(lambda: model(x), repeats=5, warmup=2)
-    with amanda.apply(observing_tool(True)):
-        mapped = wall_time(lambda: model(x), repeats=5, warmup=2)
-    return raw, mapped
+    raw_tool, mapped_tool = observing_tool(False), observing_tool(True)
+    times = _medians({"raw": lambda: _steady(model, x, raw_tool),
+                      "mapped": lambda: _steady(model, x, mapped_tool)})
+    return times["raw"], times["mapped"]
 
 
 def test_ablation_design(benchmark):
@@ -114,8 +155,13 @@ def test_ablation_design(benchmark):
     lines.append(f"Mapping dependency (steady state): raw {1e3 * raw:.2f} ms "
                  f"vs mapped {1e3 * mapped:.2f} ms "
                  f"({mapped / raw:.2f}x)")
-    lines.append("note: Winograd's reduced multiplications do not pay off "
-                 "in numpy (einsum overhead dominates); the heuristic mirrors "
+    lines.append(f"(medians of {ROUNDS} rounds, sides taking turns)")
+    lines.append("note: each conv algorithm runs as a few GEMMs (Winograd as "
+                 "fixed transforms around 16 batched tile products, FFT as "
+                 "one batched product per frequency). With the host's "
+                 "default BLAS threads a mid-size GEMM can stall for "
+                 "milliseconds, and on a slow host that stall, not the "
+                 "algorithm, sets most of these times. The heuristic mirrors "
                  "cuDNN's GPU cost model, which Fig. 8 depends on for a "
                  "realistic algorithm mix.")
     report("ablation_design", lines)

@@ -7,17 +7,31 @@ weights are OIHW (the graph backend converts from its NHWC/HWIO layout at op
 boundaries, mirroring how TensorFlow differs from PyTorch — the divergence the
 paper's MappingTool normalizes).
 
-Convolution implements three real algorithms — im2col+GEMM, Winograd
-F(2x2, 3x3), and FFT — with a cuDNN-style shape heuristic choosing between
-them, so the Fig. 8 kernel-breakdown experiment observes a genuine algorithm
-mix rather than a single code path.
+Convolution implements four real algorithms, with a cuDNN-style shape
+heuristic choosing between them, so the Fig. 8 kernel-breakdown experiment
+observes a genuine algorithm mix rather than a single code path:
+
+* **1x1 GEMM** — one ``(O, C) @ (C, H*W)`` product per image;
+* **im2col + GEMM** — a window gather, then one GEMM;
+* **Winograd F(2x2, 3x3)** (Lavin & Gray) — the 4x4 input tiles gathered
+  once, the input and output transforms as single GEMMs with the Kronecker
+  products of the transform matrices, and the 16 tile products as one
+  batched ``matmul`` over channels;
+* **FFT** — ``rfft2`` of the padded input and of the flipped filter, the
+  channel sum as a batched ``matmul`` over frequencies, and one ``irfft2``
+  per (image, output channel).
+
+The conv gradients are GEMMs over the kernel taps, and pooling runs a
+running max or sum over the kh·kw strided slices of its padded input.  Every
+operand is made C-contiguous before a ``matmul``, so a kernel's result
+depends on its inputs' values and shapes only, never on their strides: the
+eager, graph, captured and ONNX backends stay bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal
 
 from .runtime import launch
 
@@ -45,17 +59,34 @@ def out_hw(h: int, w: int, kh: int, kw: int, stride: tuple[int, int],
     return (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
 
 
-def _pad_nchw(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
-    if ph == 0 and pw == 0:
+def _pad_nchw(x: np.ndarray, ph: int, pw: int, value: float = 0.0,
+              extra: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Pad H by ``ph`` and W by ``pw`` on both sides, plus ``extra`` rows and
+    columns at the bottom and right only."""
+    eh, ew = extra
+    if not (ph or pw or eh or ew):
         return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                  mode="constant", constant_values=value)
+    n, c, h, w = x.shape
+    out = np.full((n, c, h + 2 * ph + eh, w + 2 * pw + ew), value,
+                  dtype=x.dtype)
+    out[:, :, ph:ph + h, pw:pw + w] = x
+    return out
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     """Strided view (N, C, OH, OW, KH, KW) over a padded NCHW array."""
     view = sliding_window_view(x, (kh, kw), axis=(2, 3))
     return view[:, :, ::sh, ::sw]
+
+
+def _taps(xp: np.ndarray, kh: int, kw: int, stride, oh: int, ow: int):
+    """The (N, C, OH, OW) strided slice of ``xp`` that each kernel tap
+    reads, in row-major tap order.  Each slice is a view: adding into one
+    writes through to ``xp``."""
+    sh, sw = stride
+    for i in range(kh):
+        for j in range(kw):
+            yield xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +132,9 @@ def _conv2d_1x1(x: np.ndarray, weight: np.ndarray, padding) -> np.ndarray:
     w2 = weight.reshape(weight.shape[0], weight.shape[1])
 
     def body(xp, w2):
-        return np.einsum("oc,nchw->nohw", w2, xp, optimize=True)
+        n, c, h, w = xp.shape
+        pixels = np.ascontiguousarray(xp).reshape(n, c, h * w)
+        return (np.ascontiguousarray(w2) @ pixels).reshape(n, -1, h, w)
 
     return launch("conv2d_1x1_gemm", body, xp, w2)
 
@@ -128,6 +161,11 @@ _WINO_BT = np.array([[1, 0, -1, 0], [0, 1, 1, 0], [0, -1, 1, 0], [0, 1, 0, -1]],
 _WINO_G = np.array([[1, 0, 0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0, 0, 1]],
                    dtype=np.float64)
 _WINO_AT = np.array([[1, 1, 1, 0], [0, 1, -1, -1]], dtype=np.float64)
+# Each 2-D transform as one matrix over a row-major flattened tile:
+# flat(L t R) == kron(L, R.T) @ flat(t).
+_WINO_IN = np.kron(_WINO_BT, _WINO_BT)                       # (16, 16)
+_WINO_FILTER = np.ascontiguousarray(np.kron(_WINO_G, _WINO_G).T)  # (9, 16)
+_WINO_OUT = np.kron(_WINO_AT, _WINO_AT)                      # (4, 16)
 
 
 def _conv2d_winograd(x: np.ndarray, weight: np.ndarray, padding) -> np.ndarray:
@@ -136,41 +174,44 @@ def _conv2d_winograd(x: np.ndarray, weight: np.ndarray, padding) -> np.ndarray:
     o = weight.shape[0]
     ph, pw = padding
     oh, ow = h + 2 * ph - 2, w + 2 * pw - 2
-    # pad output dims up to multiples of 2 (tile size)
-    oh_pad, ow_pad = -(-oh // 2) * 2, -(-ow // 2) * 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph + oh_pad - oh), (pw, pw + ow_pad - ow)))
-    th, tw = oh_pad // 2, ow_pad // 2  # tiles per dim
-
-    # gather 4x4 input tiles with stride 2: (N, C, th, tw, 4, 4)
-    tiles = sliding_window_view(xp, (4, 4), axis=(2, 3))[:, :, ::2, ::2]
+    th, tw = -(-oh // 2), -(-ow // 2)  # 2x2 output tiles per dim
+    # pad the output dims up to whole tiles
+    xp = _pad_nchw(x, ph, pw, extra=(2 * th - oh, 2 * tw - ow))
     dtype = x.dtype
-    bt, g, at = (_WINO_BT.astype(dtype), _WINO_G.astype(dtype),
-                 _WINO_AT.astype(dtype))
-    # input transform: B^T d B
-    v = np.einsum("ij,ncxyjk,lk->ncxyil", bt, tiles, bt, optimize=True)
-    # filter transform: G g G^T
-    u = np.einsum("ij,ocjk,lk->ocil", g, weight.astype(dtype), g, optimize=True)
-    # elementwise multiply + channel reduce
-    m = np.einsum("ocil,ncxyil->noxyil", u, v, optimize=True)
-    # output transform: A^T m A
-    y = np.einsum("ij,noxyjk,lk->noxyil", at, m, at, optimize=True)
-    # scatter 2x2 tiles back: (N, O, th, tw, 2, 2) -> (N, O, oh_pad, ow_pad)
-    out = y.transpose(0, 1, 2, 4, 3, 5).reshape(n, o, oh_pad, ow_pad)
-    return np.ascontiguousarray(out[:, :, :oh, :ow])
+    # the overlapping 4x4 input tiles, gathered once: (16, C * N*th*tw)
+    tiles = sliding_window_view(xp, (4, 4), axis=(2, 3))[:, :, ::2, ::2]
+    d = np.ascontiguousarray(tiles.transpose(4, 5, 1, 0, 2, 3)).reshape(16, -1)
+    v = (_WINO_IN.astype(dtype, copy=False) @ d).reshape(16, c, -1)
+    u = np.ascontiguousarray(weight, dtype=dtype).reshape(o * c, 9) \
+        @ _WINO_FILTER.astype(dtype, copy=False)
+    u = np.ascontiguousarray(u.T).reshape(16, o, c)
+    # the 16 tile products, each reducing over channels: (16, O, N*th*tw)
+    m = u @ v
+    y = _WINO_OUT.astype(dtype, copy=False) @ m.reshape(16, -1)
+    # scatter the 2x2 output tiles back: (2, 2, O, N, th, tw) -> (N, O, OH, OW)
+    y = y.reshape(2, 2, o, n, th, tw).transpose(3, 2, 4, 0, 5, 1)
+    return np.ascontiguousarray(y.reshape(n, o, 2 * th, 2 * tw)[:, :, :oh, :ow])
 
 
 def _conv2d_fft(x: np.ndarray, weight: np.ndarray, stride, padding) -> np.ndarray:
-    n, c, h, w = x.shape
+    n, c = x.shape[:2]
     o, _, kh, kw = weight.shape
     sh, sw = stride
-    ph, pw = padding
-    xp = _pad_nchw(x, ph, pw)
-    # cross-correlation == convolution with flipped kernel
-    wf = weight[:, :, ::-1, ::-1]
-    full = signal.fftconvolve(xp[:, None], wf[None], mode="valid", axes=(3, 4))
-    # full: (N, O, C, OH, OW); reduce the channel axis
-    out = full.sum(axis=2)
-    return np.ascontiguousarray(out[:, :, ::sh, ::sw])
+    xp = np.ascontiguousarray(_pad_nchw(x, *padding))
+    size = xp.shape[2:]
+    # cross-correlation == convolution with the flipped kernel.  A circular
+    # convolution over the padded input's size wraps into the first kh-1
+    # rows and kw-1 columns only, which the valid crop below drops.
+    fx = np.fft.rfft2(xp, s=size)
+    fw = np.fft.rfft2(np.ascontiguousarray(weight[:, :, ::-1, ::-1]), s=size)
+    freq = fx.shape[2:]
+    bins = freq[0] * freq[1]
+    # the channel sum, one (N, C) @ (C, O) product per frequency
+    fx = np.ascontiguousarray(fx.reshape(n, c, bins).transpose(2, 0, 1))
+    fw = np.ascontiguousarray(fw.reshape(o, c, bins).transpose(2, 1, 0))
+    fy = np.ascontiguousarray((fx @ fw).transpose(1, 2, 0)).reshape(n, o, *freq)
+    full = np.fft.irfft2(fy, s=size)
+    return np.ascontiguousarray(full[:, :, kh - 1::sh, kw - 1::sw])
 
 
 def conv2d_backward_input(grad_out: np.ndarray, weight: np.ndarray,
@@ -178,17 +219,17 @@ def conv2d_backward_input(grad_out: np.ndarray, weight: np.ndarray,
     """Gradient of conv2d w.r.t. its input."""
     n, c, h, w = x_shape
     o, _, kh, kw = weight.shape
-    sh, sw = stride
     ph, pw = padding
     oh, ow = grad_out.shape[2], grad_out.shape[3]
 
     def body(grad_out, weight):
-        cols = np.tensordot(grad_out, weight, axes=([1], [0]))  # (N,OH,OW,C,KH,KW)
+        # one GEMM for every tap: row block (i, j) is W[:, :, i, j]^T @ g
+        wt = np.ascontiguousarray(weight.transpose(2, 3, 1, 0))
+        g = np.ascontiguousarray(grad_out).reshape(n, o, oh * ow)
+        cols = (wt.reshape(kh * kw * c, o) @ g).reshape(n, kh * kw, c, oh, ow)
         gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad_out.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += \
-                    cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+        for tap, window in enumerate(_taps(gxp, kh, kw, stride, oh, ow)):
+            window += cols[:, tap]
         if ph or pw:
             return gxp[:, :, ph:ph + h, pw:pw + w]
         return gxp
@@ -200,12 +241,17 @@ def conv2d_backward_weight(grad_out: np.ndarray, x: np.ndarray, w_shape,
                            stride=(1, 1), padding=(0, 0)) -> np.ndarray:
     """Gradient of conv2d w.r.t. its weight."""
     o, c, kh, kw = w_shape
-    sh, sw = stride
 
     def body(grad_out, x):
-        xp = _pad_nchw(x, *padding)
-        wins = _windows(xp, kh, kw, sh, sw)  # (N,C,OH,OW,KH,KW)
-        return np.tensordot(grad_out, wins, axes=([0, 2, 3], [0, 2, 3]))
+        n, oh, ow = grad_out.shape[0], grad_out.shape[2], grad_out.shape[3]
+        xp = _pad_nchw(x, *padding).transpose(1, 0, 2, 3)
+        # im2col over (tap, C) rows and (N, OH, OW) columns, then one GEMM
+        cols = np.empty((kh * kw, c, n, oh, ow), dtype=x.dtype)
+        for tap, window in enumerate(_taps(xp, kh, kw, stride, oh, ow)):
+            cols[tap] = window
+        g = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1))
+        gw = cols.reshape(kh * kw * c, -1) @ g.reshape(-1, o)
+        return np.ascontiguousarray(gw.reshape(kh, kw, c, o).transpose(3, 2, 0, 1))
 
     return launch("conv2d_bwd_filter", body, grad_out, x)
 
@@ -216,12 +262,16 @@ def conv2d_backward_weight(grad_out: np.ndarray, x: np.ndarray, w_shape,
 
 def maxpool2d_forward(x, kernel=(2, 2), stride=None, padding=(0, 0)):
     kh, kw = kernel
-    sh, sw = stride or kernel
+    stride = stride or kernel
 
     def body(x):
         xp = _pad_nchw(x, *padding, value=-np.inf)
-        wins = _windows(xp, kh, kw, sh, sw)
-        return wins.max(axis=(-2, -1))
+        oh, ow = out_hw(*x.shape[2:], kh, kw, stride, padding)
+        taps = _taps(xp, kh, kw, stride, oh, ow)
+        out = next(taps).copy()
+        for window in taps:
+            np.maximum(out, window, out=out)
+        return out
 
     return launch("maxpool2d", body, x)
 
@@ -229,21 +279,22 @@ def maxpool2d_forward(x, kernel=(2, 2), stride=None, padding=(0, 0)):
 def maxpool2d_backward(grad_out, x, out, kernel=(2, 2), stride=None,
                        padding=(0, 0)):
     kh, kw = kernel
-    sh, sw = stride or kernel
+    stride = stride or kernel
     ph, pw = padding
     n, c, h, w = x.shape
     oh, ow = out.shape[2], out.shape[3]
 
     def body(grad_out, x, out):
         xp = _pad_nchw(x, ph, pw, value=-np.inf)
-        wins = _windows(xp, kh, kw, sh, sw)
-        mask = (wins == out[..., None, None])
-        counts = mask.sum(axis=(-2, -1), keepdims=True)
-        contrib = mask * (grad_out[..., None, None] / counts)
+        masks = [window == out for window in _taps(xp, kh, kw, stride, oh, ow)]
+        # tied maxima split the gradient evenly
+        counts = np.zeros(out.shape)
+        for mask in masks:
+            counts += mask
+        share = grad_out / counts
         gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad_out.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += contrib[..., i, j]
+        for window, mask in zip(_taps(gxp, kh, kw, stride, oh, ow), masks):
+            window += mask * share
         if ph or pw:
             return gxp[:, :, ph:ph + h, pw:pw + w]
         return gxp
@@ -253,12 +304,18 @@ def maxpool2d_backward(grad_out, x, out, kernel=(2, 2), stride=None,
 
 def avgpool2d_forward(x, kernel=(2, 2), stride=None, padding=(0, 0)):
     kh, kw = kernel
-    sh, sw = stride or kernel
+    stride = stride or kernel
 
     def body(x):
         xp = _pad_nchw(x, *padding)
-        wins = _windows(xp, kh, kw, sh, sw)
-        return wins.mean(axis=(-2, -1))
+        oh, ow = out_hw(*x.shape[2:], kh, kw, stride, padding)
+        taps = _taps(xp, kh, kw, stride, oh, ow)
+        out = next(taps).copy()
+        for window in taps:
+            out += window
+        # the window's padding counts toward the mean
+        out /= kh * kw
+        return out
 
     return launch("avgpool2d", body, x)
 
@@ -266,7 +323,7 @@ def avgpool2d_forward(x, kernel=(2, 2), stride=None, padding=(0, 0)):
 def avgpool2d_backward(grad_out, x_shape, kernel=(2, 2), stride=None,
                        padding=(0, 0)):
     kh, kw = kernel
-    sh, sw = stride or kernel
+    stride = stride or kernel
     ph, pw = padding
     n, c, h, w = x_shape
     oh, ow = grad_out.shape[2], grad_out.shape[3]
@@ -274,9 +331,8 @@ def avgpool2d_backward(grad_out, x_shape, kernel=(2, 2), stride=None,
     def body(grad_out):
         share = grad_out / (kh * kw)
         gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad_out.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += share
+        for window in _taps(gxp, kh, kw, stride, oh, ow):
+            window += share
         if ph or pw:
             return gxp[:, :, ph:ph + h, pw:pw + w]
         return gxp
@@ -300,16 +356,23 @@ def batch_norm_forward(x, gamma, beta, running_mean, running_var,
 
     def body(x, gamma, beta):
         if training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            # x.mean and x.var bit for bit, with the mean taken once and the
+            # centred input shared by the variance and xhat
+            count = x.size // max(x.shape[1], 1)
+            mean = np.add.reduce(x, axis=axes, keepdims=True) / count
+            centered = x - mean
+            var = np.add.reduce(np.square(centered), axis=axes) / count
+            mean = mean.reshape(-1)
             nrm = running_mean * (1 - momentum) + mean * momentum
             nrv = running_var * (1 - momentum) + var * momentum
         else:
             mean, var = running_mean, running_var
             nrm, nrv = running_mean, running_var
+            centered = x - mean.reshape(shape)
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-        out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+        xhat = centered * inv_std.reshape(shape)
+        out = gamma.reshape(shape) * xhat
+        out += beta.reshape(shape)
         cache = (xhat, inv_std, gamma)
         return out, cache, nrm, nrv
 

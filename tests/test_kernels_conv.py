@@ -3,6 +3,8 @@ gradient checks and the cuDNN-style algorithm-selection heuristic."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from repro.kernels import nn as K
@@ -44,6 +46,30 @@ def test_forward_matches_scipy(rng, x_shape, w_shape, stride, pad, algorithm):
     got = K.conv2d_forward(x, w, stride, pad)
     want = reference_conv(x, w, stride, pad)
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    n=st.integers(1, 2),
+    c=st.integers(1, 4),
+    o=st.integers(1, 4),
+    h=st.integers(5, 11),
+    w=st.integers(5, 11),
+    seed=st.integers(0, 10_000),
+)
+def test_im2col_matches_scipy_on_drawn_shapes(kernel, stride, pad, n, c, o,
+                                              h, w, seed):
+    # the other algorithms are checked against im2col over the same kind of
+    # draws in test_kernels_property.py
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w))
+    weight = rng.standard_normal((o, c) + kernel)
+    got = K.conv2d_forward(x, weight, stride, pad, algorithm="im2col")
+    np.testing.assert_allclose(got, reference_conv(x, weight, stride, pad),
+                               atol=1e-10)
 
 
 @pytest.mark.parametrize("forced", ["im2col", "winograd", "fft", "gemm_1x1"])

@@ -52,6 +52,20 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1, atol=1e-3)
         assert not np.allclose(new_rm, rm)
 
+    def test_training_matches_mean_and_var_bit_for_bit(self, rng):
+        x = rng.standard_normal((4, 32, 8, 8)) * 3 + 2
+        gamma, beta = rng.standard_normal(32), rng.standard_normal(32)
+        out, (xhat, _, _), _, new_rv = K.batch_norm_forward(
+            x, gamma, beta, np.zeros(32), np.ones(32), training=True)
+        shape = (1, -1, 1, 1)
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        want = (x - mean.reshape(shape)) \
+            * (1.0 / np.sqrt(var + 1e-5)).reshape(shape)
+        np.testing.assert_array_equal(xhat, want)
+        np.testing.assert_array_equal(
+            out, gamma.reshape(shape) * want + beta.reshape(shape))
+        np.testing.assert_array_equal(new_rv, 1 - 0.1 + var * 0.1)
+
     def test_eval_uses_running_stats(self, rng):
         x = rng.standard_normal((4, 3, 4, 4))
         rm = np.array([1.0, 2.0, 3.0])

@@ -11,55 +11,87 @@ from repro.kernels import nn as K
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 3),
-    c=st.integers(1, 3),
-    o=st.integers(1, 3),
-    size=st.integers(5, 10),
+    c=st.integers(1, 4),
+    o=st.integers(1, 4),
+    h=st.integers(5, 11),
+    w=st.integers(5, 11),
     pad=st.integers(0, 2),
     seed=st.integers(0, 10_000),
 )
-def test_winograd_equals_im2col_everywhere(n, c, o, size, pad, seed):
+def test_winograd_equals_im2col_everywhere(n, c, o, h, w, pad, seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, c, size, size))
-    w = rng.standard_normal((o, c, 3, 3))
-    winograd = K.conv2d_forward(x, w, (1, 1), (pad, pad), algorithm="winograd")
-    im2col = K.conv2d_forward(x, w, (1, 1), (pad, pad), algorithm="im2col")
+    x = rng.standard_normal((n, c, h, w))
+    weight = rng.standard_normal((o, c, 3, 3))
+    winograd = K.conv2d_forward(x, weight, (1, 1), (pad, pad),
+                                algorithm="winograd")
+    im2col = K.conv2d_forward(x, weight, (1, 1), (pad, pad), algorithm="im2col")
     np.testing.assert_allclose(winograd, im2col, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kh=st.integers(1, 5),
-    stride=st.integers(1, 3),
-    size=st.integers(8, 14),
+    kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    padding=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    c=st.integers(1, 4),
+    o=st.integers(1, 4),
+    h=st.integers(5, 12),
+    w=st.integers(5, 12),
     seed=st.integers(0, 10_000),
 )
-def test_fft_equals_im2col(kh, stride, size, seed):
+def test_fft_equals_im2col(kernel, stride, padding, c, o, h, w, seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, 2, size, size))
-    w = rng.standard_normal((2, 2, kh, kh))
-    pad = kh // 2
-    fft = K.conv2d_forward(x, w, (stride, stride), (pad, pad), algorithm="fft")
-    im2col = K.conv2d_forward(x, w, (stride, stride), (pad, pad),
-                              algorithm="im2col")
+    x = rng.standard_normal((1, c, h, w))
+    weight = rng.standard_normal((o, c) + kernel)
+    fft = K.conv2d_forward(x, weight, stride, padding, algorithm="fft")
+    im2col = K.conv2d_forward(x, weight, stride, padding, algorithm="im2col")
     np.testing.assert_allclose(fft, im2col, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 2),
+    c=st.integers(1, 4),
+    o=st.integers(1, 4),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    seed=st.integers(0, 10_000),
+)
+def test_gemm_1x1_equals_im2col(n, c, o, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w))
+    weight = rng.standard_normal((o, c, 1, 1))
+    gemm = K.conv2d_forward(x, weight, (1, 1), (0, 0), algorithm="gemm_1x1")
+    im2col = K.conv2d_forward(x, weight, (1, 1), (0, 0), algorithm="im2col")
+    np.testing.assert_allclose(gemm, im2col, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    size=st.integers(4, 12),
-    kernel=st.integers(1, 3),
+    kernel=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    data=st.data(),
+    h=st.integers(3, 11),
+    w=st.integers(3, 11),
     seed=st.integers(0, 10_000),
 )
-def test_maxpool_output_is_window_max(size, kernel, seed):
+def test_maxpool_output_is_window_max(kernel, stride, data, h, w, seed):
+    # every window keeps at least one real cell
+    ph = data.draw(st.integers(0, kernel[0] // 2))
+    pw = data.draw(st.integers(0, kernel[1] // 2))
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, 1, size, size))
-    out = K.maxpool2d_forward(x, (kernel, kernel), (kernel, kernel))
+    x = rng.standard_normal((2, 3, h, w))
+    out = K.maxpool2d_forward(x, kernel, stride, (ph, pw))
+    padded = np.full((2, 3, h + 2 * ph, w + 2 * pw), -np.inf)
+    padded[:, :, ph:ph + h, pw:pw + w] = x
     oh, ow = out.shape[2], out.shape[3]
+    assert (oh, ow) == K.out_hw(h, w, *kernel, stride, (ph, pw))
     for i in range(oh):
         for j in range(ow):
-            window = x[0, 0, i * kernel:(i + 1) * kernel,
-                       j * kernel:(j + 1) * kernel]
-            assert out[0, 0, i, j] == window.max()
+            window = padded[:, :, i * stride[0]:i * stride[0] + kernel[0],
+                            j * stride[1]:j * stride[1] + kernel[1]]
+            np.testing.assert_array_equal(out[:, :, i, j],
+                                          window.max(axis=(2, 3)))
 
 
 @settings(max_examples=40, deadline=None)
