@@ -12,10 +12,14 @@ Implementation mirrors the paper's PyTorch driver:
   take the uninstrumented fast path; every other op, analyzed or replayed,
   runs through one forward path (``_forward``) and its backward ops through
   one backward path (``_backward``);
-* **backward tracking** — each instrumented forward op links its backward
-  ops to its call record, so the driver supplies them the forward context
-  (operator mapping, Fig. 5) and replays the forward plan's backward slice
-  alongside actions recorded by backward analysis routines;
+* **backward tracking** — every forward op's autograd node carries its op
+  id, and an instrumented op's node also its call record, so the driver
+  supplies its backward ops the forward context (operator mapping, Fig. 5)
+  and replays the forward plan's backward slice alongside actions recorded
+  by backward analysis routines;
+* **no values in the cache** — a cached context drops the traced
+  execution's tensors, so each step's activations die with their last
+  reader rather than with the apply scope;
 * **iteration boundaries** — backward completion and top-level module entry
   reset occurrence counters so op IDs stay consistent across iterations.
 
@@ -69,6 +73,16 @@ class _OutputAdapter(TensorAdapter):
 
 INPUT_ADAPTER = _InputAdapter()
 OUTPUT_ADAPTER = _OutputAdapter()
+
+#: the reserved context keys holding the traced execution's values; a
+#: context drops them once its record is cached, so the action cache keeps
+#: no step's tensors alive (analysis reads them; replay never does)
+_VALUE_KEYS = ("_op", "_inputs", "_outputs", "_grad_outputs", "_grad_inputs")
+
+
+def _drop_values(context: OpContext) -> None:
+    for key in _VALUE_KEYS:
+        context.pop(key, None)
 
 
 class EagerDriver(BackendDriver):
@@ -168,7 +182,7 @@ class EagerDriver(BackendDriver):
                 if plan.kind is PlanKind.VANILLA:
                     # this op instance was analyzed and left alone
                     mgr.end_span(span)
-                    return vanilla_apply(opdef, inputs, attrs)
+                    return vanilla_apply(opdef, inputs, attrs, op_id=op_id)
             return self._forward(plan, opdef, inputs, attrs, op_id, span)
         except InstrumentationError:
             # recovery point: the span is closed by the finally, then policy
@@ -183,7 +197,7 @@ class EagerDriver(BackendDriver):
                 raise
             mgr.count_fallback("eager.vanilla_op")
             mgr.end_span(span)
-            return vanilla_apply(opdef, inputs, attrs)
+            return vanilla_apply(opdef, inputs, attrs, op_id=op_id)
         finally:
             mgr.end_span(span)
 
@@ -233,11 +247,12 @@ class EagerDriver(BackendDriver):
 
         result = vanilla_apply(opdef, exec_inputs, attrs,
                                forward_override=forward_override,
-                               op_call=op_call, autograd_inputs=inputs)
+                               op_call=op_call, autograd_inputs=inputs,
+                               op_id=op_id)
 
         span = mgr.begin_span()
         try:
-            outputs = op_call.outputs
+            outputs = result if isinstance(result, tuple) else (result,)
             if plan is None:
                 context["_outputs"] = list(outputs)
                 self._analyze(context, IPoint.AFTER_FORWARD)
@@ -249,8 +264,9 @@ class EagerDriver(BackendDriver):
                 record.context = context
                 record.user_state = context.has_user_state
                 mgr.cache_store(op_id, record)
+                _drop_values(context)
                 plan = record.plan
-            if op_call.node is not None:
+            if outputs[0].node is not None:
                 op_call.metadata["forward_plan"] = plan
                 op_call.metadata["context"] = plan.context
                 self._pending_calls.append(op_call)
@@ -391,6 +407,7 @@ class EagerDriver(BackendDriver):
                     if a.backward_op is None or a.backward_op == bdef.name]
                 record.context = context
                 mgr.cache_store(bwd_id, record)
+                _drop_values(context)
                 steps = PlanSlice.concat(
                     inherited, record.plan.backward_slice(bdef.name))
             if steps.after:
@@ -445,7 +462,7 @@ class EagerDriver(BackendDriver):
             for key, value in forward_context.items():
                 if key not in OpContext.RESERVED:
                     context[key] = value
-            context["_op_id"] = forward_context.get("_op_id")
+        context["_op_id"] = node.op_id
         context["_op"] = op_call
         context["_namespace"] = self.namespace
         context["_namespace_tags"] = self.namespace_tags

@@ -171,9 +171,9 @@ def mirror_backward(tracer: Tracer, loss: Tensor):
                                  graph=graph)
     seed_op.forward_op = loss_sym.op
 
-    pending: dict[int, list] = {id(node): [None] * len(node.outputs)}
-    pending_sym: dict[int, list] = {id(node): [None] * len(node.outputs)}
-    out_index = node.outputs.index(loss)
+    pending: dict[int, list] = {id(node): [None] * node.num_outputs}
+    pending_sym: dict[int, list] = {id(node): [None] * node.num_outputs}
+    out_index = node.output_index(loss)
     pending[id(node)][out_index] = seed
     pending_sym[id(node)][out_index] = seed_op.outputs[0]
 
@@ -188,21 +188,28 @@ def mirror_backward(tracer: Tracer, loss: Tensor):
             if slot is None:
                 continue
             ssym = pending_sym.pop(id(n))
-            fwd_sym = tracer.lookup(n.outputs[0].data)
+            # backward reached the node through a live output; another may
+            # have died unused
+            outputs = n.outputs
+            fwd_sym = next((tracer.lookup(out.data) for out in outputs
+                            if out is not None), None)
             if fwd_sym is None:
                 raise CaptureBailout(
                     f"tape node {n.opdef.name!r} was not traced")
             fop = fwd_sym.op
             grad_outputs = []
             grad_syms = []
-            for out, gval, gsym in zip(n.outputs, slot, ssym):
-                if out._grad_hooks:
+            for index, (out, gval, gsym) in enumerate(
+                    zip(outputs, slot, ssym)):
+                if out is not None and out._grad_hooks:
                     raise CaptureBailout(
                         "tensor gradient hooks are not capturable")
                 if gval is None:
-                    gval = np.zeros_like(out.data)
+                    gval = n.zeros_like_output(index)
                     zop = builder.capture_op(
-                        "zeros_like", [tracer.symbol_for(out.data)],
+                        "zeros_like",
+                        [fop.outputs[index] if out is None
+                         else tracer.symbol_for(out.data)],
                         name="grad_zero", graph=graph)
                     zop.forward_op = fop
                     gsym = zop.outputs[0]
@@ -243,10 +250,10 @@ def mirror_backward(tracer: Tracer, loss: Tensor):
                 vsym = input_syms[index]
                 if source.node is not None:
                     slot2 = pending.setdefault(
-                        id(source.node), [None] * len(source.node.outputs))
+                        id(source.node), [None] * source.node.num_outputs)
                     ssym2 = pending_sym.setdefault(
-                        id(source.node), [None] * len(source.node.outputs))
-                    position = source.node.outputs.index(source)
+                        id(source.node), [None] * source.node.num_outputs)
+                    position = source.node.output_index(source)
                     if slot2[position] is None:
                         slot2[position] = value
                         ssym2[position] = vsym

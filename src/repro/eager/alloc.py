@@ -25,7 +25,7 @@ class AllocationTracker:
     per-thread (a tool scope pushed by one worker must not re-attribute a
     concurrent worker's allocations).  The lock is re-entrant: a garbage
     collection can start inside any locked section that allocates (``reset``
-    and ``snapshot`` build dicts) and run a tensor's finalizer, which calls
+    and ``snapshot`` build dicts) and free a tensor, whose ``__del__`` calls
     :meth:`release` on the thread that already holds the lock.
     """
 

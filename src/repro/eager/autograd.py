@@ -15,6 +15,7 @@ The engine mirrors the structure the Amanda paper relies on (Sec. 5.2/5.3):
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -27,17 +28,56 @@ __all__ = ["Node", "backward", "grad", "add_backward_completion_listener",
 
 
 class Node:
-    """One autograd-graph node: a forward op execution awaiting backward."""
+    """One autograd-graph node: a forward op execution awaiting backward.
 
-    __slots__ = ("opdef", "ctx", "inputs", "outputs", "op_call")
+    The outputs own their node (``Tensor.node``) and the node holds them
+    weakly, so a step's graph is acyclic and each activation is freed by
+    reference counting once nothing reads it.  Backward reaches a node only
+    through a live output; only a multi-output node can then have another
+    output that died unused, so such a node keeps each output's position
+    and ``(shape, dtype)``.  ``op_id`` is the forward op's stable id under
+    instrumentation, ``op_call`` its record when an instrumented path ran it.
+    """
+
+    __slots__ = ("opdef", "ctx", "inputs", "op_call", "op_id", "_outputs",
+                 "_positions", "_specs")
 
     def __init__(self, opdef: OpDef, ctx: OpCtx, inputs: tuple,
-                 outputs: tuple, op_call: OpCall | None = None) -> None:
+                 outputs: tuple, op_call: OpCall | None = None,
+                 op_id: int | None = None) -> None:
         self.opdef = opdef
         self.ctx = ctx
         self.inputs = inputs
-        self.outputs = outputs
         self.op_call = op_call
+        self.op_id = op_id
+        self._outputs = tuple(map(weakref.ref, outputs))
+        self._positions: dict[int, int] | None = None
+        self._specs: tuple = ()
+        if len(outputs) > 1:
+            self._positions = {id(out): i for i, out in enumerate(outputs)}
+            self._specs = tuple((out.data.shape, out.data.dtype)
+                                for out in outputs)
+
+    @property
+    def outputs(self) -> tuple:
+        """One entry per forward output: the tensor, or ``None`` once dead."""
+        return tuple(ref() for ref in self._outputs)
+
+    @property
+    def num_outputs(self) -> int:
+        return len(self._outputs)
+
+    def output_index(self, tensor: Tensor) -> int:
+        """Position of ``tensor``, one of this node's live outputs."""
+        return 0 if self._positions is None else self._positions[id(tensor)]
+
+    def zeros_like_output(self, index: int) -> np.ndarray:
+        """The zero gradient of output ``index``, live or dead."""
+        out = self._outputs[index]()
+        if out is not None:
+            return np.zeros_like(out.data)
+        shape, dtype = self._specs[index]
+        return np.zeros(shape, dtype)
 
     def parent_nodes(self):
         for tensor in self.inputs:
@@ -106,26 +146,26 @@ def backward(tensor: Tensor, grad: np.ndarray | None = None) -> None:
         grad = np.ones_like(tensor.data)
     grad = np.asarray(grad, dtype=tensor.data.dtype)
 
-    order = _topological_order(tensor.node)
+    root = tensor.node
+    order = _topological_order(root)
     pending: dict[int, list[np.ndarray | None]] = {
-        id(tensor.node): [None] * len(tensor.node.outputs)
-    }
-    out_index = tensor.node.outputs.index(tensor)
-    pending[id(tensor.node)][out_index] = grad
+        id(root): [None] * root.num_outputs}
+    pending[id(root)][root.output_index(tensor)] = grad
 
     with dispatch.no_grad():
         for node in reversed(order):
             slot = pending.pop(id(node), None)
             if slot is None:
                 continue
-            grad_outputs = tuple(
-                g if g is not None else np.zeros_like(out.data)
-                for g, out in zip(slot, node.outputs)
-            )
-            # per-tensor gradient hooks on the node's outputs
-            grad_outputs = tuple(
-                out._run_grad_hooks(g) for out, g in zip(node.outputs, grad_outputs)
-            )
+            grads = []
+            for index, (g, out) in enumerate(zip(slot, node.outputs)):
+                if g is None:
+                    g = node.zeros_like_output(index)
+                if out is not None:
+                    # a non-leaf tensor's hooks see its total gradient once
+                    g = out._run_grad_hooks(g)
+                grads.append(g)
+            grad_outputs = tuple(grads)
             input_grads: dict[int, np.ndarray] = {}
             for bdef in node.opdef.backward_defs:
                 partial = dispatch.execute_backward_def(node, bdef, grad_outputs)
@@ -138,18 +178,22 @@ def backward(tensor: Tensor, grad: np.ndarray | None = None) -> None:
                 source = node.inputs[index]
                 if not isinstance(source, Tensor):
                     continue
-                value = source._run_grad_hooks(np.asarray(value))
-                if source.node is not None:
-                    slot = pending.setdefault(
-                        id(source.node), [None] * len(source.node.outputs)
-                    )
-                    position = source.node.outputs.index(source)
+                value = np.asarray(value)
+                producer = source.node
+                if producer is not None:
+                    slot = pending.get(id(producer))
+                    if slot is None:
+                        slot = [None] * producer.num_outputs
+                        pending[id(producer)] = slot
+                    position = producer.output_index(source)
                     if slot[position] is None:
                         slot[position] = value
                     else:
                         slot[position] = slot[position] + value
-                elif source.requires_grad:
-                    _accumulate(source, value)
+                else:
+                    value = source._run_grad_hooks(value)
+                    if source.requires_grad:
+                        _accumulate(source, value)
 
     for listener in list(_completion_listeners):
         listener()

@@ -168,12 +168,10 @@ class OpCall:
     inputs: tuple
     attrs: dict
     seq: int
-    outputs: tuple = ()
     is_backward: bool = False
     backward_name: str | None = None
     forward_call: "OpCall | None" = None
     module: Any = None
-    node: Any = None  # autograd node (set on forward calls that track grad)
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -274,7 +272,8 @@ def apply_op(name: str | OpDef, *inputs: Any, **attrs: Any):
 def vanilla_apply(opdef: OpDef, inputs: tuple, attrs: dict,
                   forward_override: Callable | None = None,
                   op_call: OpCall | None = None,
-                  autograd_inputs: tuple | None = None):
+                  autograd_inputs: tuple | None = None,
+                  op_id: int | None = None):
     """The un-instrumented execution pipeline.
 
     Drivers that override :attr:`OpDef.call_override` call back into this with
@@ -282,7 +281,8 @@ def vanilla_apply(opdef: OpDef, inputs: tuple, attrs: dict,
     ``replace_op`` semantics).  When a driver substitutes input *values*
     (``insert_before_op`` routines), it passes the original tensors as
     ``autograd_inputs`` so gradients still flow to the original producers —
-    the AD-isolation behaviour of Sec. 5.2.
+    the AD-isolation behaviour of Sec. 5.2.  ``op_call`` and ``op_id`` are
+    stored on the autograd node, which links the op's backward ops to it.
     """
     arrays = tuple(t.data if isinstance(t, Tensor) else t for t in inputs)
     # a forward_override never receives the ctx, so skip the allocation on
@@ -314,14 +314,11 @@ def vanilla_apply(opdef: OpDef, inputs: tuple, attrs: dict,
         from . import autograd
         if ctx is None:
             ctx = OpCtx()
-        node = autograd.Node(opdef, ctx, grad_sources, outputs, op_call=op_call)
+        node = autograd.Node(opdef, ctx, grad_sources, outputs,
+                             op_call=op_call, op_id=op_id)
         for out in outputs:
             out.requires_grad = True
             out.node = node
-        if op_call is not None:
-            op_call.node = node
-    if op_call is not None:
-        op_call.outputs = outputs
     if _capture_tracer is not None and forward_override is None:
         _capture_tracer.record_apply(opdef, inputs, attrs, outputs)
     return outputs if multi else outputs[0]

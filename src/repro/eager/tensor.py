@@ -9,7 +9,6 @@ instruments.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable
 
 import numpy as np
@@ -23,7 +22,7 @@ class Tensor:
     """An eagerly evaluated n-dimensional array with reverse-mode autograd."""
 
     __slots__ = ("data", "requires_grad", "grad", "node", "name",
-                 "_grad_hooks", "_alloc_scope", "__weakref__")
+                 "_grad_hooks", "_alloc_bytes", "_alloc_scope", "__weakref__")
 
     def __init__(self, data: Any, requires_grad: bool = False,
                  name: str | None = None) -> None:
@@ -40,9 +39,25 @@ class Tensor:
         self.node = None  # autograd.Node that produced this tensor
         self.name = name
         self._grad_hooks: list[Callable[[np.ndarray], np.ndarray | None]] = []
-        scope = alloc.tracker.allocate(arr.nbytes)
-        self._alloc_scope = scope
-        weakref.finalize(self, alloc.tracker.release, arr.nbytes, scope)
+        self._alloc_bytes = arr.nbytes
+        self._alloc_scope = alloc.tracker.allocate(arr.nbytes)
+
+    def __del__(self, _release=alloc.tracker.release) -> None:
+        # the bytes and scope of construction, whatever ``data`` holds now;
+        # the bound default keeps the release reachable at interpreter exit
+        try:
+            _release(self._alloc_bytes, self._alloc_scope)
+        except AttributeError:  # __init__ raised before the allocation
+            pass
+
+    def __setstate__(self, state) -> None:
+        # copy and pickle rebuild a tensor without __init__: it takes its
+        # own bytes, as construction does, so its __del__ returns only those
+        for part in state:  # (instance dict or None, slot values)
+            for key, value in (part or {}).items():
+                setattr(self, key, value)
+        self._alloc_bytes = self.data.nbytes
+        self._alloc_scope = alloc.tracker.allocate(self.data.nbytes)
 
     # -- basic introspection -------------------------------------------------
     @property
@@ -92,8 +107,12 @@ class Tensor:
     def register_hook(self, fn: Callable[[np.ndarray], np.ndarray | None]) -> Callable[[], None]:
         """Register a hook called with this tensor's gradient during backward.
 
-        The hook may return a replacement gradient.  Returns a deregistration
-        callable (mirroring ``torch.Tensor.register_hook``).
+        On a non-leaf tensor the hook runs once, on the total gradient, when
+        backward reaches the tensor's producing node.  On a leaf it runs on
+        each gradient routed to the tensor, before that gradient is
+        accumulated into ``.grad``.  The hook may return a replacement
+        gradient.  Returns a deregistration callable (mirroring
+        ``torch.Tensor.register_hook``).
         """
         self._grad_hooks.append(fn)
 

@@ -112,12 +112,28 @@ def select_conv_algorithm(x_shape, w_shape, stride, padding) -> str:
     return "im2col"
 
 
+#: the kernel size of each fixed-shape algorithm; neither takes a stride
+_FIXED_KERNEL = {"gemm_1x1": (1, 1), "winograd": (3, 3)}
+
+
 def conv2d_forward(x: np.ndarray, weight: np.ndarray,
                    stride=(1, 1), padding=(0, 0),
                    algorithm: str = "auto") -> np.ndarray:
-    """2-D cross-correlation.  x: (N,C,H,W); weight: (O,C,KH,KW)."""
+    """2-D cross-correlation.  x: (N,C,H,W); weight: (O,C,KH,KW).
+
+    A forced ``"gemm_1x1"`` or ``"winograd"`` takes only the kernel size it
+    is built for (1x1, 3x3) at stride 1; other arguments raise
+    ``ValueError``.
+    """
     if algorithm == "auto":
         algorithm = select_conv_algorithm(x.shape, weight.shape, stride, padding)
+    elif algorithm in _FIXED_KERNEL:
+        want, kernel = _FIXED_KERNEL[algorithm], tuple(weight.shape[2:])
+        if kernel != want or tuple(stride) != (1, 1):
+            raise ValueError(
+                f"conv algorithm {algorithm!r} takes a {want} kernel at "
+                f"stride (1, 1), got kernel {kernel} and stride "
+                f"{tuple(stride)}")
     if algorithm == "gemm_1x1":
         return _conv2d_1x1(x, weight, padding)
     if algorithm == "winograd":

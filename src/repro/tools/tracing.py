@@ -15,10 +15,12 @@ from __future__ import annotations
 import json
 import sys
 import time
+import weakref
 
 import networkx as nx
 
 from ..eager import alloc
+from ..eager.tensor import Tensor
 
 from ..core.context import OpContext
 from ..core.tool import Tool
@@ -39,8 +41,10 @@ class GraphTracingTool(Tool):
     def __init__(self) -> None:
         super().__init__()
         self.graph = nx.DiGraph()
-        #: tensor identity -> producing node id (eager mode)
-        self._producers: dict[int, int] = {}
+        #: tensor -> producing node id (eager mode); held weakly, so an
+        #: entry dies with its tensor and a recycled id matches nothing
+        self._producers: weakref.WeakKeyDictionary[Tensor, int] = (
+            weakref.WeakKeyDictionary())
         # node + input edges are known *before* the op runs; output producers
         # are registered after — so dependent tools already see the graph up
         # to (and including) the current op at the before-forward point
@@ -60,7 +64,9 @@ class GraphTracingTool(Tool):
             self._trace_graph_edges(context, op_id)
         else:
             for tensor in context.get_inputs():
-                producer = self._producers.get(id(tensor))
+                if not isinstance(tensor, Tensor):
+                    continue  # an array or scalar operand: no producer
+                producer = self._producers.get(tensor)
                 if producer is not None:
                     self.graph.add_edge(producer, op_id, kind="data")
         context["graph"] = self.graph
@@ -71,7 +77,7 @@ class GraphTracingTool(Tool):
         if op_id is None or context.namespace == "graph":
             return
         for tensor in context.get_outputs():
-            self._producers[id(tensor)] = op_id
+            self._producers[tensor] = op_id
         context["graph"] = self.graph
 
     def trace_backward(self, context: OpContext) -> None:

@@ -192,6 +192,39 @@ class TestCapturedStep:
         # from grad_in placeholders
         assert step.capture_count == 2
 
+    def test_split_output_that_died_unused_gets_a_zero_gradient(self):
+        class Head(E.Module):
+            def __init__(self):
+                super().__init__()
+                self.lin = E.Linear(4, 4, rng=np.random.default_rng(0))
+
+            def forward(self, x):
+                # the second half dies unused: backward zero-fills its
+                # gradient from the shape the split node kept
+                return F.split(self.lin(x), 2, axis=1)[0]
+
+        def loss_fn(model, x):
+            return (model(x) * 3.0).sum()
+
+        eager_model, model = Head(), Head()
+        step = capture_step(model, loss_fn)
+        for i in range(3):
+            x = E.tensor(RNG.standard_normal((2, 4)))
+            for param in eager_model.parameters():
+                param.grad = None
+            for param in model.parameters():
+                param.grad = None
+            loss_e = loss_fn(eager_model, x)
+            loss_e.backward()
+            loss_c = step(x)
+            np.testing.assert_array_equal(loss_c.data, loss_e.data,
+                                          err_msg=str(i))
+            for (name, pe), (_, pc) in zip(eager_model.named_parameters(),
+                                           model.named_parameters()):
+                np.testing.assert_array_equal(pc.grad, pe.grad, err_msg=name)
+        assert step.capture_count == 1
+        assert step.replay_count == 3
+
     def test_step_under_instrumentation_matches_eager(self):
         eager_model, model = _mlp_pair()
         step = capture_step(model, _loss_fn)

@@ -348,6 +348,33 @@ class TestReplayedOps:
             assert op_id is not None, name
             assert op is not None and op.metadata["op_id"] == op_id, name
 
+    def test_backward_ops_of_vanilla_plan_ops_get_the_forward_op_id(
+            self, rng):
+        tool = Tool("t")
+        forward_ids = {}
+        seen = []
+        # the forward routine records nothing: every forward op's plan is
+        # VANILLA once the forward-only call has analyzed it
+        tool.add_inst_for_op(
+            lambda ctx: forward_ids.setdefault(ctx["type"], ctx.get_op_id()))
+        tool.add_inst_for_op(
+            lambda ctx: seen.append((ctx["type"], ctx["backward_type"],
+                                     ctx.get_op_id())),
+            backward=True)
+        model = E.Sequential(E.Linear(3, 2, rng=rng), E.ReLU())
+        x = E.tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        with amanda.apply(tool) as mgr:
+            model(x)                      # forward only: VANILLA plans
+            model(x).sum().backward()     # replays them; backward traced
+            kinds = {forward_ids[t]: mgr.action_cache[forward_ids[t]].plan.kind
+                     for t in ("linear", "relu")}
+        assert set(kinds.values()) == {PlanKind.VANILLA}
+        assert {name for _, name, _ in seen} == {
+            "sum_backward", "relu_backward", "linear_backward_input",
+            "linear_backward_weight", "linear_backward_bias"}
+        for op_type, name, op_id in seen:
+            assert op_id == forward_ids[op_type], name
+
     def test_replayed_outputs_are_not_kept_alive(self, rng):
         tool = Tool("t")
         op_ids = []

@@ -1,6 +1,9 @@
 """Tensor basics: construction, arithmetic dispatch, hooks, allocation."""
 
+import copy
 import gc
+import pickle
+import sys
 import threading
 import weakref
 
@@ -97,6 +100,42 @@ class TestGradHooks:
         (t * 1.0).sum().backward()
         assert calls == []
 
+    @staticmethod
+    def _doubling(calls):
+        def hook(grad):
+            calls.append(grad.copy())
+            return grad * 2.0
+        return hook
+
+    def test_non_leaf_hook_runs_once(self):
+        x = E.tensor(np.ones((4, 3)))
+        w = E.tensor(np.ones((3, 2)), requires_grad=True)
+        h = x @ w
+        calls = []
+        h.register_hook(self._doubling(calls))
+        E.F.relu(h).sum().backward()
+        assert len(calls) == 1
+        np.testing.assert_array_equal(w.grad, np.full((3, 2), 8.0))
+
+    def test_non_leaf_hook_sees_the_total_of_two_consumers(self):
+        x = E.tensor(np.ones((4, 3)))
+        w = E.tensor(np.ones((3, 2)), requires_grad=True)
+        h = x @ w
+        calls = []
+        h.register_hook(self._doubling(calls))
+        (E.F.relu(h).sum() + (h * 3.0).sum()).backward()
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.full((4, 2), 4.0))
+        np.testing.assert_array_equal(w.grad, np.full((3, 2), 32.0))
+
+    def test_leaf_hook_runs_on_each_routed_gradient(self):
+        w = E.tensor(np.ones(2), requires_grad=True)
+        calls = []
+        w.register_hook(self._doubling(calls))
+        ((w * 1.0).sum() + (w * 3.0).sum()).backward()
+        assert sorted(float(g[0]) for g in calls) == [1.0, 3.0]
+        np.testing.assert_array_equal(w.grad, [8.0, 8.0])
+
 
 class TestAllocation:
     def test_tensor_allocation_tracked(self):
@@ -119,6 +158,33 @@ class TestAllocation:
         del t
         gc.collect()
         assert alloc.tracker.live["dnn"] < before
+
+    def test_failed_construction_releases_nothing(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        live = alloc.tracker.live["dnn"]
+        with pytest.raises(ValueError):
+            E.tensor([[1.0, 2.0], [3.0]])    # ragged: no array, no bytes
+        gc.collect()
+        assert unraisable == []
+        assert alloc.tracker.live["dnn"] == live
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy,
+                  lambda t: pickle.loads(pickle.dumps(t))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_takes_and_returns_its_own_bytes(self, clone):
+        t = E.Parameter(np.zeros(100), name="w")
+        t.note = "kept"                     # a Parameter has a __dict__ too
+        live = alloc.tracker.live["dnn"]
+        duplicate = clone(t)
+        assert duplicate.requires_grad and duplicate.name == "w"
+        assert duplicate.note == "kept"
+        np.testing.assert_array_equal(duplicate.data, t.data)
+        assert alloc.tracker.live["dnn"] == live + t.data.nbytes
+        del duplicate
+        gc.collect()
+        assert alloc.tracker.live["dnn"] == live
 
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError):

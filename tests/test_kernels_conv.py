@@ -85,6 +85,27 @@ def test_forced_algorithms_agree(rng, forced):
     np.testing.assert_allclose(got, baseline, atol=1e-10)
 
 
+@pytest.mark.parametrize("forced,kernel,stride", [
+    ("winograd", 3, 2), ("gemm_1x1", 1, 2), ("winograd", 5, 1)])
+def test_forced_algorithm_rejects_a_kernel_or_stride_it_does_not_take(
+        rng, forced, kernel, stride):
+    # neither kernel takes a stride; im2col and FFT subsample instead
+    x = rng.standard_normal((1, 1, 8, 8))
+    w = rng.standard_normal((1, 1, kernel, kernel))
+    pad = (kernel // 2, kernel // 2)
+    with pytest.raises(ValueError, match=rf"kernel \({kernel}, {kernel}\) "
+                                         rf"and stride \({stride}, {stride}\)"):
+        K.conv2d_forward(x, w, (stride, stride), pad, algorithm=forced)
+
+
+def test_forced_winograd_at_stride_2_is_rejected_through_the_eager_op(rng):
+    from repro.eager import F, tensor
+    x = tensor(rng.standard_normal((1, 1, 8, 8)))
+    w = tensor(rng.standard_normal((1, 1, 3, 3)))
+    with pytest.raises(ValueError, match="winograd"):
+        F.conv2d(x, w, stride=(2, 2), padding=(1, 1), algorithm="winograd")
+
+
 @pytest.mark.parametrize("stride,pad", [((1, 1), (1, 1)), ((2, 2), (0, 0)),
                                         ((2, 1), (1, 2))])
 def test_backward_input_numeric(rng, stride, pad):

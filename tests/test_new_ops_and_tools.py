@@ -1,6 +1,8 @@
 """New eager ops (clip/abs/where/stack/split/pad) and the tools built on
 them (gradient clipping, latency profiling)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,16 @@ class TestNewOps:
         (top.sum() + (bottom * 2.0).sum()).backward()
         np.testing.assert_allclose(t.grad[:2], 1.0)
         np.testing.assert_allclose(t.grad[2:], 2.0)
+
+    def test_split_grad_with_an_output_that_died_unused(self, rng):
+        t = E.tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        parts = F.split(t, 2, axis=0)
+        top, bottom = parts[0], weakref.ref(parts[1])
+        del parts
+        assert bottom() is None     # the node holds its outputs weakly
+        (top * 3.0).sum().backward()
+        np.testing.assert_array_equal(t.grad[:2], 3.0)
+        np.testing.assert_array_equal(t.grad[2:], 0.0)
 
     def test_pad_numeric_grad(self, rng):
         x = rng.standard_normal((2, 3))

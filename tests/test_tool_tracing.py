@@ -1,9 +1,11 @@
 """Graph tracing tools: structure reconstruction in eager mode, trace dumps."""
 
 import json
+import weakref
 
 import numpy as np
 import networkx as nx
+import pytest
 
 import repro.amanda as amanda
 import repro.eager as E
@@ -44,6 +46,30 @@ def test_backward_nodes_linked_to_forward(rng):
                  tracer.graph.in_edges(node, data=True)]
         if kinds:
             assert "forward_backward" in kinds
+
+
+def test_recycled_tensor_id_gains_no_data_edge():
+    """A producer entry dies with its tensor: a later tensor that takes the
+    dead one's id and feeds an op traced afterwards links to nothing."""
+    tracer = GraphTracingTool()
+    shared = np.zeros(1)
+    with amanda.apply(tracer):
+        produced = F.relu(E.tensor(np.ones(3)))
+        dead_id, dead = id(produced), weakref.ref(produced)
+        del produced
+        assert dead() is None   # the cached context keeps no outputs
+        held = []               # keep the misses so the allocator moves on
+        for _ in range(100_000):
+            reused = E.Tensor(shared)
+            if id(reused) == dead_id:
+                break
+            held.append(reused)
+        else:
+            pytest.fail("no tensor took the dead producer's id")
+        F.sigmoid(reused)       # first traced now
+    types = tracer.op_types()
+    assert sorted(types.values()) == ["relu", "sigmoid"]
+    assert tracer.graph.number_of_edges() == 0
 
 
 def test_residual_add_appears_in_trace(rng):
