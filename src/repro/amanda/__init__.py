@@ -23,8 +23,7 @@ from .. import tools
 # make ``from repro.amanda.tools import ...`` resolve to repro.tools
 _sys.modules[__name__ + ".tools"] = tools
 from ..core.actions import Action, ActionType, IPoint
-from ..core.config import (Config, capture_enabled, config, memory_budget,
-                           plan_cache_size)
+from ..core.config import Config, config, memory_budget, plan_cache_size
 from ..core.context import OpContext
 from ..core.faults import (ERROR_POLICIES, InstrumentationError, Provenance)
 from ..core.ids import LinearCongruentialGenerator, OpIdAssigner
@@ -41,5 +40,5 @@ __all__ = [
     "InstrumentationManager", "Interceptor", "LinearCongruentialGenerator",
     "OpIdAssigner", "tools", "error_policy", "InstrumentationError",
     "Provenance", "ERROR_POLICIES", "Config", "config", "plan_cache_size",
-    "capture_enabled", "memory_budget",
+    "memory_budget",
 ]

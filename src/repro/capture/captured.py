@@ -2,30 +2,34 @@
 
 :func:`capture` wraps an eager :class:`~repro.eager.module.Module` so that
 calls execute through a :class:`~repro.graph.session.Session` — inheriting
-the whole compiled-executor stack (plan cache, static verifier, fusion, slot
-table, release at last use) while staying bit-identical to plain eager
-dispatch.
+the compiled-executor stack (plan cache, static verifier, slot table,
+release at last use) while staying bit-identical to plain eager dispatch.
+:func:`capture_step` does the same for a whole training step: it also
+mirrors the autograd tape into the graph (see
+:func:`~repro.capture.tracer.mirror_backward`), so one ``Session.run``
+computes the loss and every parameter gradient.
 
-The mechanism is concrete tracing with **guard buckets**:
+Both wrappers run one mechanism, concrete tracing with **guard buckets**:
 
 * The first call with a given *guard key* (input shapes/dtypes, scalar
-  argument values, train/eval mode) runs eagerly under the tracer, which
+  argument values, train/eval mode and, for a step, which parameters hold
+  a gradient) runs eagerly under the calling thread's tracer, which
   records the op stream into a fresh :class:`~repro.graph.core.Graph`.
   Mutable module state is snapshotted before and restored after the trace,
   then the recorded graph is replayed — so even the tracing call returns
   replay results and every captured call is executor-served.
 * Subsequent calls that hit the same guard replay the cached session
-  directly.  A different shape/dtype/mode re-traces into a new bucket.
+  directly.  A different key re-traces into a new bucket.
 * Anything untraceable — a concrete value escaping into Python control flow
   (``Tensor.item()``), an unsupported operator, gradient hooks, non-array
-  inputs — poisons the bucket with a structured reason and the call (and all
-  future calls on that guard) falls back to plain eager dispatch.  The
-  reason is surfaced as :attr:`CapturedModule.last_fallback_reason`.
+  inputs, a replay-time ``NotImplementedError`` — poisons the bucket with a
+  structured reason and the call (and all future calls on that guard) falls
+  back to plain eager dispatch.  The reason is surfaced as
+  ``last_fallback_reason``.
 
-Training steps are captured by :func:`capture_step`, which additionally
-mirrors the autograd tape into the same graph (see
-:func:`~repro.capture.tracer.mirror_backward`), so one ``Session.run``
-computes the loss and every parameter gradient.
+The recorded graph runs as traced, with no pass rewriting it, so
+instrumentation tools see the same operators on a captured call as on
+eager dispatch.
 
 Captured forward outputs are detached (``requires_grad=False``): capture of
 a bare forward is an inference contract; differentiate through captured
@@ -34,13 +38,14 @@ execution with :func:`capture_step`.
 
 from __future__ import annotations
 
+import copy
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from ..core.manager import disabled as _instrumentation_disabled
-from ..core.config import config
 from ..eager import dispatch
 from ..eager.module import Module
 from ..eager.tensor import Tensor
@@ -52,6 +57,11 @@ from .tracer import CaptureBailout, Tracer, mirror_backward
 __all__ = ["CapturedModule", "CapturedStep", "capture", "capture_step"]
 
 _capture_ops.ensure_registered()
+
+#: one trace at a time: a trace holds the process-global
+#: ``amanda.disabled()``, and two overlapping traces would interleave its
+#: save and restore and leave instrumentation off after both
+_TRACE_LOCK = threading.RLock()
 
 
 # ---------------------------------------------------------------------------
@@ -84,29 +94,6 @@ def guard_key(module: Module, args: tuple, kwargs: dict,
     return tuple(spec)
 
 
-def _fuse_captured(key: tuple, graph: Graph,
-                   fetches: list[GraphTensor]) -> tuple[Graph, list, dict]:
-    """Route a captured graph through operator fusion before compilation.
-
-    Elementwise runs in the trace collapse into ``FusedElementwise`` ops, so
-    plan compilation (and the rematerialization planner, which treats a fused
-    chain as one keep-vs-recompute unit) sees the optimized graph.  Forward
-    ops a captured backward reads are control targets and survive untouched
-    (their OpCtx stash must keep happening); fetched ops are protected.
-    Returns ``(graph, fetches, report)`` — the originals when nothing fused.
-    """
-    from ..graph.fusion import fuse_graph
-    fused, report = fuse_graph(graph,
-                               protected={t.op.name for t in fetches})
-    if not report:
-        graph.guard_token = key
-        return graph, fetches, report
-    fused.guard_token = key
-    remapped = [fused.get_operation(t.op.name).outputs[t.index]
-                for t in fetches]
-    return fused, remapped, report
-
-
 def _untraceable_args(args: tuple, kwargs: dict) -> str | None:
     for value in list(args) + list(kwargs.values()):
         if isinstance(value, np.ndarray) \
@@ -125,22 +112,23 @@ def _untraceable_args(args: tuple, kwargs: dict) -> str | None:
 # the recorded graph replays — state must not advance twice)
 # ---------------------------------------------------------------------------
 
-def _state_tensors(module: Module):
-    seen: set[int] = set()
-    for _, param in module.named_parameters():
-        if id(param) not in seen:
-            seen.add(id(param))
-            yield param, True
-    for _, sub in module.named_modules():
-        for _, buf in sub._buffers.items():
-            if id(buf) not in seen:
-                seen.add(id(buf))
-                yield buf, False
+def _named_state(module: Module) -> list[tuple[str, Tensor, bool]]:
+    """``(variable name, tensor, is_param)`` for every param and buffer."""
+    state: list[tuple[str, Tensor, bool]] = [
+        (f"param/{name}", param, True)
+        for name, param in module.named_parameters()]
+    for mod_name, sub in module.named_modules():
+        for buf_name, buf in sub._buffers.items():
+            qual = f"{mod_name}.{buf_name}" if mod_name else buf_name
+            state.append((f"buffer/{qual}", buf, False))
+    return state
 
 
-def _snapshot_state(module: Module) -> list:
+def _snapshot_state(state: list) -> list:
+    # a tensor listed twice (shared by two submodules) is snapshotted twice
+    # and restored twice to the same bytes
     entries = []
-    for tensor, is_param in _state_tensors(module):
+    for _, tensor, is_param in state:
         grad = None
         if is_param and tensor.grad is not None:
             grad = np.array(tensor.grad)
@@ -155,36 +143,6 @@ def _restore_state(entries: list) -> None:
         np.copyto(tensor.data, data)
         if is_param:
             tensor.grad = grad
-
-
-def _param_name_map(module: Module):
-    """``id(array) -> variable name`` plus ``name -> owning tensor``."""
-    names: dict[int, str] = {}
-    owners: dict[str, Tensor] = {}
-    for name, param in module.named_parameters():
-        key = f"param/{name}"
-        names.setdefault(id(param.data), key)
-        owners.setdefault(key, param)
-    for mod_name, sub in module.named_modules():
-        for buf_name, buf in sub._buffers.items():
-            qual = f"{mod_name}.{buf_name}" if mod_name else buf_name
-            key = f"buffer/{qual}"
-            names.setdefault(id(buf.data), key)
-            owners.setdefault(key, buf)
-    return names, owners
-
-
-class _install_tracer:
-    def __init__(self, tracer: Tracer) -> None:
-        self._tracer = tracer
-
-    def __enter__(self) -> Tracer:
-        dispatch.set_capture_tracer(self._tracer)
-        return self._tracer
-
-    def __exit__(self, *exc) -> bool:
-        dispatch.set_capture_tracer(None)
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +163,9 @@ class _Bucket:
     single_output: bool = True
     #: (variable name, owning eager tensor) for every lifted param/buffer
     aliases: list = field(default_factory=list)
-    #: fused op name -> original op types (graph.fusion provenance)
-    fusion_report: dict = field(default_factory=dict)
     # training-step extras
     leaf_params: list = field(default_factory=list)
+    #: (parameter, grad_in placeholder name) for every pre-existing .grad
     grad_feeds: list = field(default_factory=list)
 
     def refresh_aliases(self) -> None:
@@ -223,29 +180,25 @@ class _Bucket:
             if store.read(var_name) is not holder.data:
                 store.adopt(var_name, holder.data)
 
-
-def _wrap_result(bucket: _Bucket, array: np.ndarray) -> Tensor:
-    if bucket.graph.variables.owns(array):
-        # fetching a Variable returns the stored buffer itself; hand the
-        # caller a copy so result mutation cannot corrupt parameters
-        array = np.array(array)
-    return Tensor(array)
-
-
-def _build_feed(bucket: _Bucket, args: tuple, kwargs: dict) -> dict:
-    feed = {}
-    for kind, key, ph_name in bucket.feeds:
-        value = args[key] if kind == "arg" else kwargs[key]
-        feed[ph_name] = value.data if isinstance(value, Tensor) else value
-    return feed
+    def build_feed(self, args: tuple, kwargs: dict) -> dict:
+        feed = {}
+        for kind, key, ph_name in self.feeds:
+            value = args[key] if kind == "arg" else kwargs[key]
+            feed[ph_name] = value.data if isinstance(value, Tensor) else value
+        for param, ph_name in self.grad_feeds:
+            # the guard key pins the grads-present pattern, so .grad is set
+            feed[ph_name] = param.grad
+        return feed
 
 
-# ---------------------------------------------------------------------------
-# captured forward
-# ---------------------------------------------------------------------------
+class _Captured:
+    """The guarded-bucket engine both captured wrappers run on.
 
-class CapturedModule:
-    """An eager module whose calls run through the compiled graph executor."""
+    This class owns the buckets and counters, the trace, the replay and the
+    fallback accounting.  A subclass says what a trace runs
+    (:meth:`_traced_call`) and fetches (:meth:`_fetches`), what a replay
+    returns (:meth:`_result`) and how a call runs eagerly (:meth:`_eager`).
+    """
 
     def __init__(self, module: Module) -> None:
         self._module = module
@@ -259,104 +212,162 @@ class CapturedModule:
     def module(self) -> Module:
         return self._module
 
-    def __getattr__(self, name: str):
-        return getattr(self._module, name)
+    def __copy__(self):
+        return self._rewrap(self._module)
+
+    def __deepcopy__(self, memo: dict):
+        return self._rewrap(copy.deepcopy(self._module, memo))
+
+    def _rewrap(self, module: Module):
+        # a bucket's graph aliases the wrapped module's buffers, so a copy
+        # starts without buckets and traces again on its first call
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        _Captured.__init__(clone, module)
+        return clone
 
     def __call__(self, *args, **kwargs):
-        if not config.capture or dispatch.get_capture_tracer() is not None:
-            # knob off, or already inside an outer trace: nested captured
-            # modules must contribute their ops to the outer graph
-            return self._module(*args, **kwargs)
-        key = guard_key(self._module, args, kwargs)
+        if dispatch.get_capture_tracer() is not None:
+            # already inside an outer trace on this thread: nested captured
+            # calls must contribute their ops to the outer graph
+            return self._eager(args, kwargs)
+        key = self._guard_key(args, kwargs)
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self._trace(key, args, kwargs)
-            self._buckets[key] = bucket
-        if bucket.poisoned is not None:
-            self.last_fallback_reason = bucket.poisoned
-            self.fallback_count += 1
-            return self._module(*args, **kwargs)
-        return self._replay(bucket, args, kwargs)
+            bucket = self._buckets[key] = self._trace(key, args, kwargs)
+        if bucket.poisoned is None:
+            bucket.refresh_aliases()
+            try:
+                results = bucket.session.run(bucket.fetches,
+                                             bucket.build_feed(args, kwargs))
+            except NotImplementedError as exc:
+                # a captured compute went missing (e.g. an op deregistered
+                # after trace): poison the bucket and serve the call eagerly
+                bucket.poisoned = f"replay failed: {exc}"
+            else:
+                self.replay_count += 1
+                return self._result(bucket, results)
+        self.last_fallback_reason = bucket.poisoned
+        self.fallback_count += 1
+        return self._eager(args, kwargs)
 
-    # -- trace --------------------------------------------------------------
+    def _guard_key(self, args: tuple, kwargs: dict) -> tuple:
+        return guard_key(self._module, args, kwargs)
+
     def _trace(self, key: tuple, args: tuple, kwargs: dict) -> _Bucket:
-        bucket = _Bucket(key=key)
-        reason = _untraceable_args(args, kwargs)
-        if reason is not None:
-            bucket.poisoned = reason
+        bucket = _Bucket(key=key, poisoned=_untraceable_args(args, kwargs))
+        if bucket.poisoned is not None:
             return bucket
-        module = self._module
+        state = _named_state(self._module)
+        names: dict[int, str] = {}
+        for name, tensor, _ in state:
+            # an array shared under two names lifts to one variable
+            names.setdefault(id(tensor.data), name)
         graph = Graph()
-        names, owners = _param_name_map(module)
-        tracer = Tracer(graph, names, [t.data for t, _ in _state_tensors(module)])
-        for i, value in enumerate(args):
+        graph.guard_token = key
+        tracer = Tracer(graph, names, [tensor.data for _, tensor, _ in state])
+        named = [("arg", i, value) for i, value in enumerate(args)]
+        named += [("kwarg", k, kwargs[k]) for k in sorted(kwargs)]
+        for kind, name, value in named:
             if isinstance(value, (Tensor, np.ndarray)):
                 arr = value.data if isinstance(value, Tensor) else value
                 bucket.feeds.append(
-                    ("arg", i, tracer.add_placeholder(arr, f"input_{i}")))
-        for k in sorted(kwargs):
-            value = kwargs[k]
-            if isinstance(value, (Tensor, np.ndarray)):
-                arr = value.data if isinstance(value, Tensor) else value
-                bucket.feeds.append(
-                    ("kwarg", k, tracer.add_placeholder(arr, f"input_{k}")))
-        snapshot = _snapshot_state(module)
+                    (kind, name, tracer.add_placeholder(arr, f"input_{name}")))
+        snapshot = _snapshot_state(state)
         try:
-            with _instrumentation_disabled(), dispatch.no_grad(), \
-                    _install_tracer(tracer):
-                output = module(*args, **kwargs)
+            with _TRACE_LOCK, _instrumentation_disabled():
+                dispatch.set_capture_tracer(tracer)
+                try:
+                    output = self._traced_call(args, kwargs)
+                finally:
+                    dispatch.set_capture_tracer(None)
+                if tracer.escape_reason is not None:
+                    raise CaptureBailout(tracer.escape_reason)
+                bucket.fetches = self._fetches(bucket, tracer, output)
+        except CaptureBailout as exc:
+            bucket.poisoned = exc.reason
+            return bucket
         finally:
             _restore_state(snapshot)
-        if tracer.escape_reason is not None:
-            bucket.poisoned = tracer.escape_reason
-            return bucket
-        bucket.single_output = not isinstance(output, tuple)
-        outputs = (output,) if bucket.single_output else output
-        for out in outputs:
-            if not isinstance(out, Tensor):
-                bucket.poisoned = (
-                    f"module returned a non-tensor ({type(out).__name__})")
-                return bucket
-            sym = tracer.lookup(out.data)
-            if sym is None:
-                bucket.poisoned = ("module output was not produced by a "
-                                   "traced operator")
-                return bucket
-            bucket.fetches.append(sym)
         if tracer.num_ops == 0:
             bucket.poisoned = "trace recorded no operators"
             return bucket
-        graph, bucket.fetches, bucket.fusion_report = \
-            _fuse_captured(key, graph, bucket.fetches)
         bucket.graph = graph
         bucket.session = Session(graph)
+        owners = {name: tensor for name, tensor, _ in state}
         bucket.aliases = [(name, owners[name]) for name in tracer.lifted]
         self.capture_count += 1
         return bucket
 
-    # -- replay -------------------------------------------------------------
-    def _replay(self, bucket: _Bucket, args: tuple, kwargs: dict):
-        bucket.refresh_aliases()
-        try:
-            results = bucket.session.run(bucket.fetches,
-                                         _build_feed(bucket, args, kwargs))
-        except NotImplementedError as exc:
-            # a captured compute went missing (e.g. an op deregistered after
-            # trace): poison the bucket and serve the call eagerly
-            bucket.poisoned = f"replay failed: {exc}"
-            self.last_fallback_reason = bucket.poisoned
-            self.fallback_count += 1
+    # -- what the two wrappers do differently -------------------------------
+    def _traced_call(self, args: tuple, kwargs: dict) -> Any:
+        """Run the call eagerly while the tracer records it."""
+        raise NotImplementedError
+
+    def _fetches(self, bucket: _Bucket, tracer: Tracer,
+                 output: Any) -> list[GraphTensor]:
+        """The symbols a replay fetches; raise CaptureBailout if none fit."""
+        raise NotImplementedError
+
+    def _result(self, bucket: _Bucket, results: list) -> Any:
+        """What a replay returns, given its fetched arrays."""
+        raise NotImplementedError
+
+    def _eager(self, args: tuple, kwargs: dict) -> Any:
+        """Serve the call with plain eager dispatch."""
+        raise NotImplementedError
+
+
+# ---------------------------------------------------------------------------
+# captured forward
+# ---------------------------------------------------------------------------
+
+class CapturedModule(_Captured):
+    """An eager module whose calls run through the compiled graph executor."""
+
+    def __getattr__(self, name: str):
+        # copy and pickle probe a bare instance for dunders before
+        # ``__init__`` has run: forwarding those would recurse on ``_module``
+        if name.startswith("__") or "_module" not in self.__dict__:
+            raise AttributeError(name)
+        return getattr(self._module, name)
+
+    def _traced_call(self, args: tuple, kwargs: dict) -> Any:
+        with dispatch.no_grad():
             return self._module(*args, **kwargs)
-        self.replay_count += 1
-        wrapped = [_wrap_result(bucket, r) for r in results]
+
+    def _fetches(self, bucket: _Bucket, tracer: Tracer,
+                 output: Any) -> list[GraphTensor]:
+        bucket.single_output = not isinstance(output, tuple)
+        fetches = []
+        for out in (output,) if bucket.single_output else output:
+            if not isinstance(out, Tensor):
+                raise CaptureBailout(
+                    f"module returned a non-tensor ({type(out).__name__})")
+            sym = tracer.lookup(out.data)
+            if sym is None:
+                raise CaptureBailout("module output was not produced by a "
+                                     "traced operator")
+            fetches.append(sym)
+        return fetches
+
+    def _result(self, bucket: _Bucket, results: list) -> Any:
+        # fetching a Variable returns the stored buffer itself; hand the
+        # caller a copy so result mutation cannot corrupt parameters
+        store = bucket.graph.variables
+        wrapped = [Tensor(np.array(r) if store.owns(r) else r)
+                   for r in results]
         return wrapped[0] if bucket.single_output else tuple(wrapped)
+
+    def _eager(self, args: tuple, kwargs: dict) -> Any:
+        return self._module(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
 # captured training step
 # ---------------------------------------------------------------------------
 
-class CapturedStep:
+class CapturedStep(_Captured):
     """A training step (loss forward + full backward) as one captured graph.
 
     ``loss_fn(module, *args, **kwargs)`` must return a scalar loss tensor.
@@ -376,117 +387,39 @@ class CapturedStep:
     def __init__(self, module: Module, loss_fn: Callable) -> None:
         if isinstance(module, CapturedModule):
             module = module.module
-        self._module = module
+        super().__init__(module)
         self._loss_fn = loss_fn
-        self._buckets: dict[tuple, _Bucket] = {}
-        self.last_fallback_reason: str | None = None
-        self.capture_count = 0
-        self.replay_count = 0
-        self.fallback_count = 0
 
-    @property
-    def module(self) -> Module:
-        return self._module
-
-    def _eager_step(self, args: tuple, kwargs: dict) -> Tensor:
-        loss = self._loss_fn(self._module, *args, **kwargs)
-        loss.backward()
-        return loss
-
-    def __call__(self, *args, **kwargs) -> Tensor:
-        if not config.capture or dispatch.get_capture_tracer() is not None:
-            return self._eager_step(args, kwargs)
+    def _guard_key(self, args: tuple, kwargs: dict) -> tuple:
         grads = tuple(p.grad is not None
                       for _, p in self._module.named_parameters())
-        key = guard_key(self._module, args, kwargs, grads=grads)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._trace(key, args, kwargs)
-            self._buckets[key] = bucket
-        if bucket.poisoned is not None:
-            self.last_fallback_reason = bucket.poisoned
-            self.fallback_count += 1
-            return self._eager_step(args, kwargs)
-        return self._replay(bucket, args, kwargs)
+        return guard_key(self._module, args, kwargs, grads=grads)
 
-    # -- trace --------------------------------------------------------------
-    def _trace(self, key: tuple, args: tuple, kwargs: dict) -> _Bucket:
-        bucket = _Bucket(key=key)
-        reason = _untraceable_args(args, kwargs)
-        if reason is not None:
-            bucket.poisoned = reason
-            return bucket
-        module = self._module
-        graph = Graph()
-        names, owners = _param_name_map(module)
-        tracer = Tracer(graph, names, [t.data for t, _ in _state_tensors(module)])
-        for i, value in enumerate(args):
-            if isinstance(value, (Tensor, np.ndarray)):
-                arr = value.data if isinstance(value, Tensor) else value
-                bucket.feeds.append(
-                    ("arg", i, tracer.add_placeholder(arr, f"input_{i}")))
-        for k in sorted(kwargs):
-            value = kwargs[k]
-            if isinstance(value, (Tensor, np.ndarray)):
-                arr = value.data if isinstance(value, Tensor) else value
-                bucket.feeds.append(
-                    ("kwarg", k, tracer.add_placeholder(arr, f"input_{k}")))
-        snapshot = _snapshot_state(module)
-        try:
-            with _instrumentation_disabled():
-                with _install_tracer(tracer):
-                    loss = self._loss_fn(module, *args, **kwargs)
-                if tracer.escape_reason is not None:
-                    bucket.poisoned = tracer.escape_reason
-                    return bucket
-                if not isinstance(loss, Tensor):
-                    bucket.poisoned = (
-                        f"loss_fn returned a non-tensor "
-                        f"({type(loss).__name__})")
-                    return bucket
-                loss_sym = tracer.lookup(loss.data)
-                if loss_sym is None:
-                    bucket.poisoned = ("loss was not produced by a traced "
-                                       "operator")
-                    return bucket
-                leaf_params, leaf_fetches, grad_feeds = \
-                    mirror_backward(tracer, loss)
-        except CaptureBailout as exc:
-            bucket.poisoned = exc.reason
-            return bucket
-        finally:
-            _restore_state(snapshot)
-        fetches = [loss_sym] + list(leaf_fetches)
-        graph, fetches, bucket.fusion_report = \
-            _fuse_captured(key, graph, fetches)
-        bucket.graph = graph
-        bucket.session = Session(graph)
-        bucket.fetches = fetches
-        bucket.aliases = [(name, owners[name]) for name in tracer.lifted]
-        bucket.leaf_params = leaf_params
-        bucket.grad_feeds = grad_feeds
-        self.capture_count += 1
-        return bucket
+    def _traced_call(self, args: tuple, kwargs: dict) -> Any:
+        return self._loss_fn(self._module, *args, **kwargs)
 
-    # -- replay -------------------------------------------------------------
-    def _replay(self, bucket: _Bucket, args: tuple, kwargs: dict) -> Tensor:
-        bucket.refresh_aliases()
-        feed = _build_feed(bucket, args, kwargs)
-        for param, ph_name in bucket.grad_feeds:
-            # guard key pins the grads-present pattern, so .grad is non-None
-            feed[ph_name] = param.grad
-        try:
-            results = bucket.session.run(bucket.fetches, feed)
-        except NotImplementedError as exc:
-            bucket.poisoned = f"replay failed: {exc}"
-            self.last_fallback_reason = bucket.poisoned
-            self.fallback_count += 1
-            return self._eager_step(args, kwargs)
-        self.replay_count += 1
+    def _fetches(self, bucket: _Bucket, tracer: Tracer,
+                 output: Any) -> list[GraphTensor]:
+        if not isinstance(output, Tensor):
+            raise CaptureBailout(
+                f"loss_fn returned a non-tensor ({type(output).__name__})")
+        loss_sym = tracer.lookup(output.data)
+        if loss_sym is None:
+            raise CaptureBailout("loss was not produced by a traced operator")
+        bucket.leaf_params, leaf_fetches, bucket.grad_feeds = \
+            mirror_backward(tracer, output)
+        return [loss_sym] + leaf_fetches
+
+    def _result(self, bucket: _Bucket, results: list) -> Tensor:
         for param, grad in zip(bucket.leaf_params, results[1:]):
             # fresh copy, exactly like the engine's value.copy() / g + v
             param.grad = np.array(grad)
         return Tensor(np.array(results[0]))
+
+    def _eager(self, args: tuple, kwargs: dict) -> Tensor:
+        loss = self._traced_call(args, kwargs)
+        loss.backward()
+        return loss
 
 
 def capture(module: Module) -> CapturedModule:

@@ -14,13 +14,6 @@ Current knobs:
   bound on the per-session compiled-plan cache.  Long-lived sessions that
   cycle through many distinct fetch sets evict the least recently used
   plan instead of accumulating entries without bound.
-* ``capture`` (env ``AMANDA_CAPTURE``, default on) — kill switch for
-  symbolic capture (:mod:`repro.capture`).  A module wrapped with
-  ``capture()`` traces its eager ops into the graph IR and replays them
-  through the compiled :class:`~repro.graph.session.Session`; with the
-  knob off the wrapper becomes a transparent pass-through to plain eager
-  dispatch (no tracing, no guards), which is the safe rollback if a
-  captured workload misbehaves in production.
 * ``memory_budget`` (env ``AMANDA_MEMORY_BUDGET``, default ``0`` = off) —
   activation-memory budget in bytes for the graph executor.  Accepts plain
   integers or ``K``/``M``/``G`` suffixes (``"512M"``).  With a budget set,
@@ -33,7 +26,8 @@ Current knobs:
 
 The serving runtime's worker count, batch size and sampling rate are
 arguments of :class:`repro.serve.ServeRuntime` and its ``register``, not
-knobs.
+knobs.  Symbolic capture (:mod:`repro.capture`) has no switch: a call it
+cannot trace or replay faithfully already runs on plain eager dispatch.
 """
 
 from __future__ import annotations
@@ -43,8 +37,7 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
-__all__ = ["Config", "config", "plan_cache_size", "capture_enabled",
-           "memory_budget"]
+__all__ = ["Config", "config", "plan_cache_size", "memory_budget"]
 
 
 def _parse_int(value: str | int | None, default: int, minimum: int) -> int:
@@ -57,20 +50,6 @@ def _parse_int(value: str | int | None, default: int, minimum: int) -> int:
     except (TypeError, ValueError):
         return default
     return max(minimum, number)
-
-
-def _parse_flag(value: str | bool | None, default: bool = True) -> bool:
-    """Parse an on/off setting; unrecognized values keep the default."""
-    if value is None:
-        return default
-    if isinstance(value, bool):
-        return value
-    text = value.strip().lower()
-    if text in ("1", "true", "on", "yes"):
-        return True
-    if text in ("0", "false", "off", "no"):
-        return False
-    return default
 
 
 def _parse_bytes(value: str | int | None, default: int = 0) -> int:
@@ -109,7 +88,6 @@ class Knob(NamedTuple):
 KNOBS = (
     Knob("plan_cache_size", "AMANDA_PLAN_CACHE_SIZE", 64,
          partial(_parse_int, minimum=1)),
-    Knob("capture", "AMANDA_CAPTURE", True, _parse_flag),
     Knob("memory_budget", "AMANDA_MEMORY_BUDGET", 0, _parse_bytes),
 )
 
@@ -120,7 +98,6 @@ class Config:
     # the fields' types, for static checkers: ``refresh_from_env`` sets them
     # from ``KNOBS`` by name
     plan_cache_size: int
-    capture: bool
     memory_budget: int
 
     def __init__(self) -> None:
@@ -165,8 +142,6 @@ def _scoped(field: str, doc: str):
 
 plan_cache_size = _scoped(
     "plan_cache_size", "Scope-override the plan-cache LRU bound.")
-capture_enabled = _scoped(
-    "capture", "Scope-override the symbolic-capture knob.")
 memory_budget = _scoped(
     "memory_budget",
     "Scope-override the executor memory budget: bytes or a "

@@ -236,20 +236,27 @@ def next_seq() -> int:
 # symbolic-capture tracer seam (repro.capture)
 # ---------------------------------------------------------------------------
 
-#: while non-None, every vanilla forward execution is reported to the tracer
-#: *after* it ran eagerly (concrete tracing: real values flow, the tracer
-#: only records the op stream and array provenance)
-_capture_tracer: Any | None = None
+class _CaptureState(threading.local):
+    """Per-thread capture tracer.  While non-None, every vanilla forward
+    execution on this thread is reported to it *after* it ran eagerly
+    (concrete tracing: real values flow, the tracer only records the op
+    stream and array provenance).  Other threads' ops stay out of the
+    trace."""
+
+    def __init__(self) -> None:
+        self.tracer: Any | None = None  # runs once in every thread
+
+
+_capture_state = _CaptureState()
 
 
 def set_capture_tracer(tracer: Any | None) -> None:
-    """Install (or clear, with ``None``) the active capture tracer."""
-    global _capture_tracer
-    _capture_tracer = tracer
+    """Install (or clear, with ``None``) this thread's capture tracer."""
+    _capture_state.tracer = tracer
 
 
 def get_capture_tracer() -> Any | None:
-    return _capture_tracer
+    return _capture_state.tracer
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +326,9 @@ def vanilla_apply(opdef: OpDef, inputs: tuple, attrs: dict,
         for out in outputs:
             out.requires_grad = True
             out.node = node
-    if _capture_tracer is not None and forward_override is None:
-        _capture_tracer.record_apply(opdef, inputs, attrs, outputs)
+    tracer = _capture_state.tracer
+    if tracer is not None and forward_override is None:
+        tracer.record_apply(opdef, inputs, attrs, outputs)
     return outputs if multi else outputs[0]
 
 

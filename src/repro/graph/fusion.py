@@ -63,24 +63,6 @@ def _compute_fused_matmul(op, inputs, runtime):
 #: execution produces bit-identical values *and* kernel event streams.
 _EWISE_UNARY = ("Neg", "Square", "Sqrt", "Relu", "Tanh")
 _EWISE_BINARY = ("Add", "Sub", "Mul", "RealDiv")
-
-#: captured graphs spell the same elementwise ops with their eager names
-#: (lowercase, attr-free); fusion canonicalizes them so captured chains fuse
-#: exactly like builder-built ones.  Forward ops a captured backward reads
-#: are control targets and therefore never absorbed (their OpCtx stash must
-#: keep happening), so this only fuses chains with no backward readers.
-_CAPTURED_EWISE = {"add": "Add", "sub": "Sub", "mul": "Mul",
-                   "div": "RealDiv", "neg": "Neg", "sqrt": "Sqrt",
-                   "relu": "Relu", "tanh": "Tanh"}
-
-
-def _canon_ewise(op: Operation) -> str | None:
-    """Canonical elementwise type of a fusable op, or None."""
-    if op.type in _EWISE_UNARY or op.type in _EWISE_BINARY:
-        return op.type
-    if not op.attrs:
-        return _CAPTURED_EWISE.get(op.type)
-    return None
 _EWISE_BINARY_KERNELS = {
     "Add": ("ewise_add", np.add),
     "Sub": ("ewise_sub", np.subtract),
@@ -167,8 +149,6 @@ def fuse_graph(graph: Graph,
     """
     protected = protected or set()
     clone, mapping = copy_graph(graph)
-    # captured graphs carry their guard key here; replay relies on it
-    clone.guard_token = graph.guard_token
     report: dict[str, list[str]] = {}
     consumed: set[str] = set()
 
@@ -234,11 +214,14 @@ def fuse_graph(graph: Graph,
         clone.version += 1
 
     # -- elementwise chains: Add/Sub/Mul/.../Relu runs of length >= 2 ---------
+    # an op another op names as a control input must survive: absorbing it
+    # would leave that dependency pointing at a dropped op
     control_targets = {dep.name for candidate in clone.operations
                        for dep in candidate.control_inputs}
 
     def _chainable(candidate: Operation) -> bool:
-        return (_canon_ewise(candidate) is not None
+        return ((candidate.type in _EWISE_UNARY
+                 or candidate.type in _EWISE_BINARY)
                 and len(candidate.outputs) == 1
                 and candidate.name not in consumed
                 and candidate.name not in protected
@@ -255,24 +238,23 @@ def fuse_graph(graph: Graph,
         if any(_is_extension(edge.op, op) for edge in op.inputs):
             continue  # mid-chain: the head's walk will absorb it
         chain = [op]
-        spec: list[tuple[str, int | None]] = [(_canon_ewise(op), None)]
+        spec: list[tuple[str, int | None]] = [(op.type, None)]
         external = list(op.inputs)
         cursor = op
         while True:
             nxt = _single_consumer(clone, cursor)
             if nxt is None or not _chainable(nxt):
                 break
-            canon = _canon_ewise(nxt)
-            if canon in _EWISE_BINARY:
+            if nxt.type in _EWISE_BINARY:
                 feeds0 = nxt.inputs[0].op is cursor
                 feeds1 = nxt.inputs[1].op is cursor
                 if feeds0 and feeds1:
                     break  # both operands come from the chain value
                 side = 0 if feeds0 else 1
-                spec.append((canon, side))
+                spec.append((nxt.type, side))
                 external.append(nxt.inputs[1 - side])
             else:
-                spec.append((canon, None))
+                spec.append((nxt.type, None))
             chain.append(nxt)
             cursor = nxt
         if len(chain) < 2:

@@ -423,9 +423,6 @@ KNOB_CASES = [
     ("plan_cache_size", "AMANDA_PLAN_CACHE_SIZE", 64,
      [("7", 7), ("0", 1), ("-3", 1), ("junk", 64)],
      amanda.plan_cache_size, 3, 3),
-    ("capture", "AMANDA_CAPTURE", True,
-     [("0", False), ("off", False), ("yes", True), ("maybe", True)],
-     amanda.capture_enabled, False, False),
     ("memory_budget", "AMANDA_MEMORY_BUDGET", 0,
      [("3M", 3 << 20), ("512", 512), ("1.5k", 1536), ("-5", 0),
       ("junk", 0), ("inf", 0)],
@@ -445,7 +442,7 @@ class TestConfig:
                 monkeypatch.setenv(env, raw)
                 assert getattr(Config(), field) == parsed, (field, raw)
             monkeypatch.delenv(env)
-        # the provenance line prints vars(config): exactly the three knobs
+        # the provenance line prints vars(config): exactly the two knobs
         assert list(vars(Config())) == [case[0] for case in KNOB_CASES]
 
     def test_scoped_override_restores(self):
